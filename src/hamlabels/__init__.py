@@ -18,7 +18,6 @@ from .constructions import (
     zigzag_diff_path,
 )
 from .expectation import (
-    ExactRational,
     McEstimate,
     asymptotic_residual,
     count_constrained_cycles,

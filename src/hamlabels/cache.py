@@ -2,13 +2,16 @@
 
 Entries are keyed by a hash of the canonical run parameters and carry a
 checksum of the stored report; a corrupted entry is deleted and treated
-as a miss, so the next run recomputes and repairs it.
+as a miss, so the next run recomputes and repairs it.  Entries are
+written to a temporary file and renamed into place, so a reader never
+sees a half-written one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 __all__ = ["cache_key", "cache_get", "cache_put"]
@@ -49,6 +52,11 @@ def cache_put(root: str | Path, key: str, report: str, exit_code: int) -> None:
         "exit_code": exit_code,
         "report": report,
     }
-    (root / f"{key}.json").write_text(
-        json.dumps(entry, sort_keys=True), encoding="utf-8"
-    )
+    tmp = root / f"{key}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(json.dumps(entry, sort_keys=True))
+        os.replace(tmp, root / f"{key}.json")
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -27,21 +27,24 @@ from .expectation import (
     asymptotic_residual,
     expected_distinct_diffs,
     expected_distinct_sums,
+    format_rational,
     monte_carlo_estimate,
 )
 from .groups import (
     GroupParseError,
     GroupSpec,
+    _divisors,
     abelian_groups_in_range,
     parse_group,
 )
 from .search import (
     DEFAULT_ENUMERATION_CAP,
+    ExtremalReport,
     extremal_scan,
     minimum_connection_size,
 )
 from .trails import diff_labels, sum_labels, trail_to_json_dict
-from .verify import verify_orders
+from .verify import VerificationRecord, verify_orders
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -49,6 +52,10 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 CACHE_ENV = "HAMLABELS_CACHE"
+
+# Part of every cache key, with the package version: raise it whenever the
+# bytes of a report change for the same run parameters.
+REPORT_SCHEMA = 1
 
 __all__ = ["RunConfig", "run", "main", "EXIT_PASS", "EXIT_FAIL", "EXIT_USAGE", "EXIT_INCONCLUSIVE"]
 
@@ -70,7 +77,11 @@ class RunConfig:
 
     def cache_payload(self) -> dict:
         # threads excluded: it never affects output bytes
+        from . import __version__  # read per call, not frozen at import
+
         return {
+            "version": __version__,
+            "schema": REPORT_SCHEMA,
             "command": self.command,
             "groups": list(self.groups),
             "orders": list(self.orders) if self.orders else None,
@@ -118,10 +129,6 @@ def _resolve_groups(cfg: RunConfig) -> list[GroupSpec]:
     return out
 
 
-def _frac(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
 def _frac_decimal(q: Fraction, digits: int) -> str:
     with localcontext() as ctx:
         ctx.prec = digits
@@ -136,10 +143,7 @@ def _cmd_info(cfg: RunConfig) -> tuple[dict, int]:
     reports = []
     for G in _resolve_groups(cfg):
         n = G.order
-        orders = {}
-        for d in range(1, n + 1):
-            if n % d == 0:
-                orders[str(d)] = G.count_by_order(d)
+        orders = {str(d): G.count_by_order(d) for d in _divisors(n)}
         reports.append({
             "group": str(G),
             "invariant_factors": list(G.invariant_factors),
@@ -198,7 +202,7 @@ def _cmd_expect(cfg: RunConfig) -> tuple[dict, int]:
             entry = {
                 "group": str(G),
                 "mode": mode,
-                "exact": _frac(exact),
+                "exact": format_rational(exact),
                 "decimal": _frac_decimal(exact, cfg.digits),
                 "residual": str(asymptotic_residual(G, mode, cfg.digits)),
                 "mc": None,
@@ -279,32 +283,21 @@ _COMMANDS = {
 # rendering
 # ---------------------------------------------------------------------------
 
+# command -> (CSV header, payload key of the rows)
+_CSV_TABLES = {
+    "scan": (ExtremalReport.CSV_HEADER, "reports"),
+    "verify": (VerificationRecord.CSV_HEADER, "records"),
+}
+
+
 def _render_csv(payload: dict) -> str:
     cmd = payload["command"]
-    if cmd == "scan":
-        lines = [
-            "group,order,rank,min_distinct_diffs,max_distinct_diffs,"
-            "min_distinct_sums,max_distinct_sums,cycle_count,"
-            "mean_distinct_diffs,mean_distinct_sums"
-        ]
-        for r in payload["reports"]:
-            lines.append(
-                f"{r['group']},{r['order']},{r['rank']},"
-                f"{r['min_distinct_diffs']},{r['max_distinct_diffs']},"
-                f"{r['min_distinct_sums']},{r['max_distinct_sums']},"
-                f"{r['cycle_count']},{r['mean_distinct_diffs']},"
-                f"{r['mean_distinct_sums']}"
-            )
-        return "\n".join(lines) + "\n"
-    if cmd == "verify":
-        lines = ["check,group,predicted,measured,verdict"]
-        for r in payload["records"]:
-            lines.append(
-                f"{r['check']},{r['group']},{r['predicted']},"
-                f"{r['measured']},{r['verdict']}"
-            )
-        return "\n".join(lines) + "\n"
-    raise UsageError(f"csv output is not available for {cmd!r}")
+    if cmd not in _CSV_TABLES:
+        raise UsageError(f"csv output is not available for {cmd!r}")
+    header, key = _CSV_TABLES[cmd]
+    columns = header.split(",")
+    lines = [header] + [",".join(str(row[c]) for c in columns) for row in payload[key]]
+    return "\n".join(lines) + "\n"
 
 
 def _render_text(payload: dict) -> str:

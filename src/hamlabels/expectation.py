@@ -17,10 +17,16 @@ from math import comb, factorial
 
 import numpy as np
 
-from .groups import Element, GroupSpec, span
+from .groups import (
+    Element,
+    GroupSpec,
+    _distinct_per_row,
+    _divisors,
+    _element_set,
+    span,
+)
 
 __all__ = [
-    "ExactRational",
     "McEstimate",
     "diff_free_subset_count",
     "count_cycles_with_diff",
@@ -31,10 +37,8 @@ __all__ = [
     "monte_carlo_estimate",
     "count_constrained_cycles",
     "RESIDUAL_BOUND",
+    "format_rational",
 ]
-
-# Arbitrary-precision reduced rationals; the stdlib type already is one.
-ExactRational = Fraction
 
 # Frozen regression bound: |exact - (1 - 1/e)n| stays below this for every
 # abelian group of order 3..32 (established by exact computation; the
@@ -44,10 +48,9 @@ RESIDUAL_BOUND = 2.0
 _MC_SHARD = 4096
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, int(n**0.5) + 1) if n % d == 0]
-    out += [n // d for d in reversed(out) if d * d != n]
-    return out
+def format_rational(q: Fraction) -> str:
+    """An exact rational as "p/q", denominator always shown (e.g. "1/1")."""
+    return f"{q.numerator}/{q.denominator}"
 
 
 def diff_free_subset_count(n: int, d: int, j: int) -> int:
@@ -207,10 +210,7 @@ def monte_carlo_estimate(G: GroupSpec, mode: str, trials: int, seed: int) -> McE
         raise ValueError("need at least one trial")
     if mode not in ("sum", "diff"):
         raise ValueError(f"mode must be 'sum' or 'diff', got {mode!r}")
-    from .search import _label_tables  # shared index tables
-
-    addt, subt = _label_tables(G)
-    table = addt if mode == "sum" else subt
+    table = G.indexed.add if mode == "sum" else G.indexed.diff
     total = 0
     total_sq = 0
     done = 0
@@ -226,10 +226,7 @@ def monte_carlo_estimate(G: GroupSpec, mode: str, trials: int, seed: int) -> McE
         verts = np.concatenate(
             [np.zeros((k, 1), dtype=np.int16), perms], axis=1
         )
-        nxt = np.roll(verts, -1, axis=1)
-        labels = table[verts, nxt]
-        srt = np.sort(labels, axis=1)
-        counts = (np.diff(srt, axis=1) != 0).sum(axis=1) + 1
+        counts = _distinct_per_row(table[verts, np.roll(verts, -1, axis=1)])
         total += int(counts.sum())
         total_sq += int((counts.astype(np.int64) ** 2).sum())
         done += k
@@ -253,10 +250,7 @@ def count_constrained_cycles(G: GroupSpec, g: Element, A) -> int:
     """
     if g == G.zero():
         raise ValueError("the step element must be nonzero")
-    A = frozenset(tuple(a) for a in A)
-    for a in A:
-        if not G.contains(a):
-            raise ValueError(f"{a} is not an element of {G}")
+    A = _element_set(G, A)
     n = G.order
     H = span(G, [g])
     if len(A) == n:

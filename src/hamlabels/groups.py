@@ -12,7 +12,10 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from functools import cached_property
+from math import gcd, isqrt, lcm, prod
+
+import numpy as np
 
 Element = tuple[int, ...]
 
@@ -211,17 +214,97 @@ class GroupSpec:
         """|{g : 2g = 0}|, i.e. 2 to the number of even invariant factors."""
         return prod(2 if m % 2 == 0 else 1 for m in self.invariant_factors)
 
+    @cached_property
+    def indexed(self) -> GroupIndex:
+        """The integer-index view of this group, built on first use."""
+        return GroupIndex(self)
+
+
+class GroupIndex:
+    """A group with its elements numbered 0..n-1 in lexicographic order.
+
+    Element i is ``els[i]`` (index 0 is zero).  The O(n) vectors ``els``,
+    ``index``, ``residues``, ``neg`` and ``double`` are built up front;
+    ``order`` and the n x n ``add`` and ``diff`` tables only on first use,
+    the tables as compact numpy arrays.  Code that must scale to large
+    groups works with ``shift`` (one O(n) translation) and never touches
+    the tables.
+    """
+
+    def __init__(self, G: GroupSpec):
+        fs = G.invariant_factors
+        self.n = G.order
+        self.els = G.elements()
+        self.index = {a: i for i, a in enumerate(self.els)}
+        self.residues = np.array(self.els, dtype=np.int64).reshape(self.n, len(fs))
+        self._moduli = np.array(fs, dtype=np.int64)
+        self._strides = np.array([prod(fs[k + 1:]) for k in range(len(fs))],
+                                 dtype=np.int64)
+        self.neg = self._encode(-self.residues)
+        self.double = self._encode(2 * self.residues)
+
+    def _encode(self, coords: np.ndarray) -> np.ndarray:
+        """Indices of the elements with these (unreduced) coordinates."""
+        return (coords % self._moduli) @ self._strides
+
+    def shift(self, a: int) -> np.ndarray:
+        """Index of els[a] + els[x] for every x, in O(n)."""
+        return self._encode(self.residues + self.residues[a])
+
+    def closure(self, gens) -> list[int]:
+        """Indices of the subgroup generated by ``gens``, in BFS order."""
+        steps = [self.shift(g).tolist() for g in set(gens) if g]
+        seen = bytearray(self.n)
+        seen[0] = 1
+        members = [0]
+        for a in members:  # grows while it is walked
+            for step in steps:
+                b = step[a]
+                if not seen[b]:
+                    seen[b] = 1
+                    members.append(b)
+        return members
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """order[i] is the order of els[i]."""
+        return np.lcm.reduce(self._moduli // np.gcd(self.residues, self._moduli),
+                             axis=1, initial=1)
+
+    @cached_property
+    def add(self) -> np.ndarray:
+        """add[i, j] is the index of els[i] + els[j]."""
+        table = np.empty((self.n, self.n),
+                         dtype=np.int16 if self.n <= 1 << 15 else np.int32)
+        for i in range(self.n):
+            table[i] = self.shift(i)
+        return table
+
+    @cached_property
+    def diff(self) -> np.ndarray:
+        """diff[i, j] is the index of els[j] - els[i], the label of edge i -> j."""
+        return self.add[self.neg]
+
+
+def _element_set(G: GroupSpec, items) -> frozenset[Element]:
+    """Outside input as a set of element tuples; ValueError on a non-element."""
+    out = frozenset(tuple(a) for a in items)
+    for a in out:
+        if not G.contains(a):
+            raise ValueError(f"{a} is not an element of {G}")
+    return out
+
+
+def _distinct_per_row(labels: np.ndarray) -> np.ndarray:
+    """The number of distinct values in each row of a label array."""
+    srt = np.sort(labels, axis=1)
+    return (np.diff(srt, axis=1) != 0).sum(axis=1) + 1
+
 
 def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    """The divisors of n in ascending order."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _mobius(n: int) -> int:
@@ -315,19 +398,9 @@ def abelian_groups_in_range(lo: int, hi: int) -> tuple[GroupSpec, ...]:
 
 def span(G: GroupSpec, gens) -> frozenset[Element]:
     """The subgroup generated by the given elements (BFS closure)."""
-    gens = [g for g in gens]
-    seen = {G.zero()}
-    frontier = [G.zero()]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = G.add(a, g)
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return frozenset(seen)
+    gi = G.indexed
+    members = gi.closure(gi.index[g] for g in _element_set(G, gens))
+    return frozenset(gi.els[i] for i in members)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,9 @@ from math import factorial
 
 import numpy as np
 
-from .groups import Element, GroupSpec, span
-from .trails import Trail, sum_labels
+from .expectation import format_rational
+from .groups import Element, GroupSpec, _distinct_per_row, _element_set, span
+from .trails import Trail, sum_labels, trail_to_json_dict
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -94,17 +95,13 @@ def enumerate_cycles(G: GroupSpec, *, cap: int = DEFAULT_ENUMERATION_CAP,
     if n > cap:
         raise ValueError(f"order {n} exceeds enumeration cap {cap}")
     els = G.elements()
-    zero = els[0]
-    rest = els[1:]
-    if second is None:
-        for perm in itertools.permutations(rest):
-            yield Trail(G, (zero,) + perm, cyclic=True)
-    else:
-        if second not in rest:
+    head = els[:1]
+    if second is not None:
+        if second not in els[1:]:
             raise ValueError(f"{second} is not a nonzero element of {G}")
-        remaining = tuple(e for e in rest if e != second)
-        for perm in itertools.permutations(remaining):
-            yield Trail(G, (zero, second) + perm, cyclic=True)
+        head += (second,)
+    for perm in itertools.permutations(e for e in els if e not in head):
+        yield Trail(G, head + perm, cyclic=True)
 
 
 @dataclass
@@ -122,8 +119,6 @@ class ExtremalReport:
     witnesses: dict[str, Trail] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        from .trails import trail_to_json_dict
-
         return {
             "group": str(self.group),
             "invariant_factors": list(self.group.invariant_factors),
@@ -134,63 +129,25 @@ class ExtremalReport:
             "min_distinct_sums": self.min_distinct_sums,
             "max_distinct_sums": self.max_distinct_sums,
             "cycle_count": self.cycle_count,
-            "mean_distinct_diffs": _frac_str(self.mean_distinct_diffs),
-            "mean_distinct_sums": _frac_str(self.mean_distinct_sums),
+            "mean_distinct_diffs": format_rational(self.mean_distinct_diffs),
+            "mean_distinct_sums": format_rational(self.mean_distinct_sums),
             "witnesses": {
                 k: trail_to_json_dict(t) for k, t in sorted(self.witnesses.items())
             },
         }
 
+    # columns of the CSV rendering, named as in to_json_dict
     CSV_HEADER = (
         "group,order,rank,min_distinct_diffs,max_distinct_diffs,"
         "min_distinct_sums,max_distinct_sums,cycle_count,"
         "mean_distinct_diffs,mean_distinct_sums"
     )
 
-    def to_csv_row(self) -> str:
-        g = self.group
-        return (
-            f"{g},{g.order},{g.rank},{self.min_distinct_diffs},"
-            f"{self.max_distinct_diffs},{self.min_distinct_sums},"
-            f"{self.max_distinct_sums},{self.cycle_count},"
-            f"{_frac_str(self.mean_distinct_diffs)},"
-            f"{_frac_str(self.mean_distinct_sums)}"
-        )
 
-
-def _frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
-def _label_tables(G: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
-    els = G.elements()
-    n = len(els)
-    addt = np.empty((n, n), dtype=np.int16)
-    subt = np.empty((n, n), dtype=np.int16)
-    for i, a in enumerate(els):
-        for j, b in enumerate(els):
-            addt[i, j] = G.element_index(G.add(a, b))
-            subt[i, j] = G.element_index(G.sub(b, a))  # label of edge a -> b
-    return addt, subt
-
-
-def _distinct_per_row(labels: np.ndarray) -> np.ndarray:
-    srt = np.sort(labels, axis=1)
-    return (np.diff(srt, axis=1) != 0).sum(axis=1) + 1
-
-
-@dataclass
-class _ShardStats:
-    dmin: tuple[int, tuple[int, ...]]
-    dmax: tuple[int, tuple[int, ...]]
-    smin: tuple[int, tuple[int, ...]]
-    smax: tuple[int, tuple[int, ...]]
-    diff_total: int
-    sum_total: int
-    rows: int
-
-
-def _scan_shard(n: int, second: int, addt: np.ndarray, subt: np.ndarray) -> _ShardStats:
+def _scan_shard(n: int, second: int, addt: np.ndarray,
+                subt: np.ndarray) -> tuple[dict, int, int, int]:
+    """The best (count, cycle) of each extreme, the diff and sum totals and
+    the number of cycles, over the cycles whose second vertex is ``second``."""
     remaining = [k for k in range(1, n) if k != second]
     best = {"dmin": (n + 1, ()), "dmax": (-1, ()), "smin": (n + 1, ()), "smax": (-1, ())}
     diff_total = sum_total = rows = 0
@@ -203,8 +160,7 @@ def _scan_shard(n: int, second: int, addt: np.ndarray, subt: np.ndarray) -> _Sha
         verts = np.empty((k, n), dtype=np.int16)
         verts[:, 0] = 0
         verts[:, 1] = second
-        if n > 2:
-            verts[:, 2:] = np.array(chunk, dtype=np.int16)
+        verts[:, 2:] = np.array(chunk, dtype=np.int16)
         nxt = np.roll(verts, -1, axis=1)
         dcounts = _distinct_per_row(subt[verts, nxt])
         scounts = _distinct_per_row(addt[verts, nxt])
@@ -222,8 +178,7 @@ def _scan_shard(n: int, second: int, addt: np.ndarray, subt: np.ndarray) -> _Sha
             if (val < cur) if lower_is_better else (val > cur):
                 r = int(np.argmin(counts) if lower_is_better else np.argmax(counts))
                 best[key] = (val, tuple(int(x) for x in verts[r]))
-    return _ShardStats(best["dmin"], best["dmax"], best["smin"], best["smax"],
-                       diff_total, sum_total, rows)
+    return best, diff_total, sum_total, rows
 
 
 def extremal_scan(G: GroupSpec, *, cap: int = DEFAULT_ENUMERATION_CAP,
@@ -240,12 +195,8 @@ def extremal_scan(G: GroupSpec, *, cap: int = DEFAULT_ENUMERATION_CAP,
         raise ValueError("extremal scan needs |G| >= 2")
     if n > cap:
         raise ValueError(f"order {n} exceeds enumeration cap {cap}")
-    if n == 2:
-        t = Trail(G, G.elements(), cyclic=True)
-        return ExtremalReport(G, 1, 1, 1, 1, 1, Fraction(1), Fraction(1),
-                              {"min_diffs": t, "max_diffs": t,
-                               "min_sums": t, "max_sums": t})
-    addt, subt = _label_tables(G)
+    gi = G.indexed
+    addt, subt = gi.add, gi.diff
     seconds = list(range(1, n))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -258,19 +209,20 @@ def extremal_scan(G: GroupSpec, *, cap: int = DEFAULT_ENUMERATION_CAP,
         "dmin": (n + 1, ()), "dmax": (-1, ()), "smin": (n + 1, ()), "smax": (-1, ()),
     }
     diff_total = sum_total = rows = 0
-    for st in shard_stats:  # fixed order merge: lowest second vertex wins ties
+    # fixed order merge: lowest second vertex wins ties
+    for shard_best, shard_diffs, shard_sums, shard_rows in shard_stats:
         for key, lower in (("dmin", True), ("dmax", False),
                            ("smin", True), ("smax", False)):
-            val, wit = getattr(st, key)
+            val, wit = shard_best[key]
             cur = best[key][0]
             if (val < cur) if lower else (val > cur):
                 best[key] = (val, wit)
-        diff_total += st.diff_total
-        sum_total += st.sum_total
-        rows += st.rows
+        diff_total += shard_diffs
+        sum_total += shard_sums
+        rows += shard_rows
     assert rows == factorial(n - 1)
 
-    els = G.elements()
+    els = gi.els
 
     def as_trail(idx_seq: tuple[int, ...]) -> Trail:
         return Trail(G, tuple(els[i] for i in idx_seq), cyclic=True)
@@ -297,60 +249,58 @@ def extremal_scan(G: GroupSpec, *, cap: int = DEFAULT_ENUMERATION_CAP,
 # rainbow witness searches
 # ---------------------------------------------------------------------------
 
-def _rainbow_backtrack(G: GroupSpec, vertices: list[Element], label_fn,
+def _rainbow_backtrack(G: GroupSpec, vertices: list[int], labels: np.ndarray,
                        cyclic: bool, budget: int | None) -> SearchResult:
     """Depth-first search for an ordering with pairwise-distinct edge labels.
 
-    The first vertex stays pinned to vertices[0] (a valid quotient: by
-    rotation for cycles, by translation for paths on a full group), and
-    candidates are tried in ascending element order, so the first witness
-    is deterministic.
+    Vertices are element indices and ``labels[a, b]`` is the label of the
+    edge a -> b.  The first vertex stays pinned to vertices[0] (a valid
+    quotient: by rotation for cycles, by translation for paths on a full
+    group), and candidates are tried in ascending element order, so the
+    first witness is deterministic.  The stack is explicit, so the depth
+    is not bounded by the recursion limit.
     """
     n = len(vertices)
-    order = sorted(vertices)
-    first = order[0] if cyclic else vertices[0]
-    rest = [v for v in order if v != first]
+    first = min(vertices) if cyclic else vertices[0]
+    rest = sorted(v for v in vertices if v != first)
     path = [first]
-    used_labels: set[Element] = set()
-    in_path = {first}
+    on_path = bytearray(G.order)
+    on_path[first] = 1
+    used = bytearray(G.order)
+    resume = [0]  # per depth: the position in rest to try next
+    row = labels[first].tolist()  # labels of the edges leaving path[-1]
     nodes = 0
-
-    def extend() -> Trail | None:
-        nonlocal nodes
+    while True:
         if len(path) == n:
-            if not cyclic:
-                return Trail(G, tuple(path), cyclic=False)
-            closing = label_fn(path[-1], path[0])
-            if closing in used_labels:
-                return None
-            return Trail(G, tuple(path), cyclic=True)
-        for v in rest:
-            if v in in_path:
+            if not cyclic or not used[row[first]]:
+                els = G.indexed.els
+                trail = Trail(G, tuple(els[v] for v in path), cyclic=cyclic)
+                return SearchResult(FOUND, trail, nodes)
+        else:
+            for pos in range(resume[-1], len(rest)):
+                v = rest[pos]
+                if not on_path[v] and not used[row[v]]:
+                    break
+            else:
+                v = None
+            if v is not None:
+                nodes += 1
+                if budget is not None and nodes > budget:
+                    return SearchResult(EXHAUSTED, None, nodes)
+                resume[-1] = pos + 1
+                used[row[v]] = 1
+                on_path[v] = 1
+                path.append(v)
+                resume.append(0)
+                row = labels[v].tolist()
                 continue
-            lab = label_fn(path[-1], v)
-            if lab in used_labels:
-                continue
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise SearchBudgetExceeded(nodes)
-            path.append(v)
-            in_path.add(v)
-            used_labels.add(lab)
-            hit = extend()
-            if hit is not None:
-                return hit
-            used_labels.discard(lab)
-            in_path.discard(v)
-            path.pop()
-        return None
-
-    try:
-        witness = extend()
-    except SearchBudgetExceeded as exc:
-        return SearchResult(EXHAUSTED, None, exc.nodes)
-    if witness is None:
-        return SearchResult(NONEXISTENT, None, nodes)
-    return SearchResult(FOUND, witness, nodes)
+        if len(path) == 1:
+            return SearchResult(NONEXISTENT, None, nodes)
+        resume.pop()
+        v = path.pop()
+        on_path[v] = 0
+        row = labels[path[-1]].tolist()
+        used[row[v]] = 0
 
 
 def find_rainbow_diff_path(G: GroupSpec, budget: int | None = None) -> SearchResult:
@@ -361,8 +311,7 @@ def find_rainbow_diff_path(G: GroupSpec, budget: int | None = None) -> SearchRes
     """
     if G.order < 2:
         raise ValueError("need |G| >= 2")
-    verts = [G.zero()] + [e for e in G.elements() if e != G.zero()]
-    return _rainbow_backtrack(G, verts, lambda a, b: G.sub(b, a), cyclic=False,
+    return _rainbow_backtrack(G, list(range(G.order)), G.indexed.diff, cyclic=False,
                               budget=budget)
 
 
@@ -370,7 +319,7 @@ def find_rainbow_sum_cycle(G: GroupSpec, budget: int | None = None) -> SearchRes
     """Search for a Hamiltonian cycle on G with all sums distinct."""
     if G.order < 2:
         raise ValueError("need |G| >= 2")
-    return _rainbow_backtrack(G, list(G.elements()), G.add, cyclic=True,
+    return _rainbow_backtrack(G, list(range(G.order)), G.indexed.add, cyclic=True,
                               budget=budget)
 
 
@@ -378,8 +327,7 @@ def find_rainbow_diff_cycle_nonzero(G: GroupSpec, budget: int | None = None) -> 
     """Search for a cycle on the nonzero elements with all differences distinct."""
     if G.order < 3:
         raise ValueError("need |G| >= 3")
-    verts = [e for e in G.elements() if e != G.zero()]
-    return _rainbow_backtrack(G, verts, lambda a, b: G.sub(b, a), cyclic=True,
+    return _rainbow_backtrack(G, list(range(1, G.order)), G.indexed.diff, cyclic=True,
                               budget=budget)
 
 
@@ -401,23 +349,24 @@ class CayleyGraph:
     loop_vertices: frozenset[Element]
 
 
+def _cayley_neighbours(G: GroupSpec, S: frozenset[Element]) -> list[list[int]]:
+    """nbrs[i]: the indices j != i, ascending, with els[i] + els[j] in S."""
+    gi = G.indexed
+    if not S:
+        return [[] for _ in range(gi.n)]
+    # the index of s - g for every g, one O(n) translation per s
+    minus = [gi.shift(gi.index[s])[gi.neg].tolist() for s in S]
+    return [sorted(j for j in col if j != i) for i, col in enumerate(zip(*minus))]
+
+
 def build_cayley(G: GroupSpec, S) -> CayleyGraph:
-    S = frozenset(tuple(s) for s in S)
-    for s in S:
-        if not G.contains(s):
-            raise ValueError(f"{s} is not an element of {G}")
-    adjacency = {}
-    loops = set()
-    for g in G.elements():
-        nbrs = []
-        for s in S:
-            h = G.sub(s, g)
-            if h == g:
-                loops.add(g)
-            else:
-                nbrs.append(h)
-        adjacency[g] = tuple(sorted(nbrs))
-    return CayleyGraph(G, S, adjacency, frozenset(loops))
+    S = _element_set(G, S)
+    gi = G.indexed
+    els = gi.els
+    adjacency = {els[i]: tuple(els[j] for j in nbrs)
+                 for i, nbrs in enumerate(_cayley_neighbours(G, S))}
+    loops = frozenset(a for a, d in zip(els, gi.double.tolist()) if els[d] in S)
+    return CayleyGraph(G, S, adjacency, loops)
 
 
 def is_connected_cayley(G: GroupSpec, S, method: str = "structural") -> bool:
@@ -426,11 +375,9 @@ def is_connected_cayley(G: GroupSpec, S, method: str = "structural") -> bool:
     structural: the subgroup H generated by S-S must be all of G, or have
     index 2 with S inside the nontrivial coset.
     bfs: walk the component of 0 in the explicit graph.
+    Neither builds an n x n table, so both scale to large groups.
     """
-    S = frozenset(tuple(s) for s in S)
-    for s in S:
-        if not G.contains(s):
-            raise ValueError(f"{s} is not an element of {G}")
+    S = _element_set(G, S)
     if method == "structural":
         if not S:
             return G.order == 1
@@ -440,31 +387,16 @@ def is_connected_cayley(G: GroupSpec, S, method: str = "structural") -> bool:
             return True
         return 2 * len(H) == G.order and s0 not in H
     if method == "bfs":
-        graph = build_cayley(G, S)
-        seen = {G.zero()}
-        frontier = [G.zero()]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in graph.adjacency[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return len(seen) == G.order
+        nbrs = _cayley_neighbours(G, S)
+        seen = {0}
+        reached = [0]
+        for v in reached:  # grows while it is walked
+            for w in nbrs[v]:
+                if w not in seen:
+                    seen.add(w)
+                    reached.append(w)
+        return len(reached) == G.order
     raise ValueError(f"unknown connectivity method {method!r}")
-
-
-def _adj_masks(G: GroupSpec, S: frozenset[Element]) -> list[int]:
-    n = G.order
-    els = G.elements()
-    masks = [0] * n
-    for i, g in enumerate(els):
-        for s in S:
-            h = G.sub(s, g)
-            if h != g:
-                masks[i] |= 1 << G.element_index(h)
-    return masks
 
 
 def _lowest_bit(x: int) -> int:
@@ -507,15 +439,14 @@ def _hamiltonian_dp(n: int, adj: list[int]) -> list[int] | None:
 
 
 def _hamiltonian_backtrack(n: int, adj: list[int], budget: int | None) -> list[int] | None:
-    """Pruned DFS Hamiltonicity: degree-1 forcing plus availability cut."""
-    full = (1 << n) - 1
-    nodes = 0
+    """Pruned DFS Hamiltonicity: degree-1 forcing plus availability cut.
 
-    def rec(path: list[int], visited: int) -> list[int] | None:
-        nonlocal nodes
-        cur = path[-1]
-        if visited == full:
-            return path[:] if adj[cur] & 1 else None
+    The stack is explicit, so the depth is not bounded by the recursion
+    limit; ``steps[d]`` holds the untried successors of ``path[d]``.
+    """
+    full = (1 << n) - 1
+
+    def successors(cur: int, visited: int) -> int:
         free = ~visited & full
         # every unvisited vertex still needs two usable connections
         avail_pool = free | (1 << cur) | 1
@@ -524,22 +455,33 @@ def _hamiltonian_backtrack(n: int, adj: list[int], budget: int | None) -> list[i
             u = _lowest_bit(m)
             m &= m - 1
             if (adj[u] & avail_pool).bit_count() < 2:
-                return None
-        ext = adj[cur] & free
-        while ext:
-            w = _lowest_bit(ext)
-            ext &= ext - 1
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise SearchBudgetExceeded(nodes)
-            path.append(w)
-            hit = rec(path, visited | (1 << w))
-            if hit is not None:
-                return hit
-            path.pop()
-        return None
+                return 0
+        return adj[cur] & free
 
-    return rec([0], 1)
+    nodes = 0
+    path = [0]
+    visited = 1
+    steps = [successors(0, visited)]
+    while steps:
+        ext = steps[-1]
+        if not ext:
+            steps.pop()
+            visited ^= 1 << path.pop()
+            continue
+        w = _lowest_bit(ext)
+        steps[-1] = ext & (ext - 1)
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise SearchBudgetExceeded(nodes)
+        path.append(w)
+        visited |= 1 << w
+        if visited == full:
+            if adj[w] & 1:
+                return path
+            steps.append(0)
+        else:
+            steps.append(successors(w, visited))
+    return None
 
 
 def is_hamiltonian_cayley(G: GroupSpec, S, *, budget: int | None = None,
@@ -551,10 +493,7 @@ def is_hamiltonian_cayley(G: GroupSpec, S, *, budget: int | None = None,
     when the budget runs out.  A witness cycle C always satisfies
     S(C) being a subset of the connection set.
     """
-    S = frozenset(tuple(s) for s in S)
-    for s in S:
-        if not G.contains(s):
-            raise ValueError(f"{s} is not an element of {G}")
+    S = _element_set(G, S)
     n = G.order
     if n < 2:
         raise ValueError("need |G| >= 2")
@@ -565,7 +504,7 @@ def is_hamiltonian_cayley(G: GroupSpec, S, *, budget: int | None = None,
         return False, None
     if not is_connected_cayley(G, S, method="structural"):
         return False, None
-    adj = _adj_masks(G, S)
+    adj = [sum(1 << j for j in nbrs) for nbrs in _cayley_neighbours(G, S)]
     if any(a.bit_count() < 2 for a in adj):
         return False, None
     if n <= dp_limit:
@@ -574,7 +513,7 @@ def is_hamiltonian_cayley(G: GroupSpec, S, *, budget: int | None = None,
         path = _hamiltonian_backtrack(n, adj, budget)
     if path is None:
         return False, None
-    els = G.elements()
+    els = G.indexed.els
     t = Trail(G, tuple(els[i] for i in path), cyclic=True)
     assert set(sum_labels(t).labels) <= S
     return True, t
@@ -589,17 +528,15 @@ def classify_small_connection_set(G: GroupSpec, S) -> bool:
     """
     if G.order < 3:
         raise ValueError("need |G| >= 3")
-    S = frozenset(tuple(s) for s in S)
-    for s in S:
-        if not G.contains(s):
-            raise ValueError(f"{s} is not an element of {G}")
+    S = _element_set(G, S)
     if len(S) > 2:
         raise ValueError("rule only covers |S| <= 2")
     if len(S) <= 1:
         return False
     s1, s2 = sorted(S)
+    gi = G.indexed
     d = G.sub(s2, s1)
-    if G.order % 2 != 0 or G.element_order(d) != G.order // 2:
+    if G.order % 2 != 0 or gi.order[gi.index[d]] != G.order // 2:
         return False
     return not (S & span(G, [d]))
 
@@ -644,17 +581,15 @@ def minimum_connection_size(G: GroupSpec, *, budget: int | None = None,
     if n < 2:
         raise ValueError("need |G| >= 2")
     lower, upper = _size_bounds(G)
-    els = G.elements()
-    doubled = sorted({G.element_index(G.scalar_mul(2, t)) for t in els})
+    gi = G.indexed
+    els = gi.els
+    # row k: the translate of every element by the k-th element of 2G
+    translates = gi.add[sorted(set(gi.double.tolist()))]
 
     def is_canonical(idx_tuple: tuple[int, ...]) -> bool:
-        subset = [els[i] for i in idx_tuple]
-        for h_idx in doubled:
-            h = els[h_idx]
-            shifted = tuple(sorted(G.element_index(G.add(s, h)) for s in subset))
-            if shifted < idx_tuple:
-                return False
-        return True
+        # the least translate (h = 0 gives the set itself) must be the set
+        shifted = translates[:, idx_tuple].tolist()
+        return min(sorted(row) for row in shifted) == list(idx_tuple)
 
     for k in range(lower, upper + 1):
         for idx_tuple in itertools.combinations(range(n), k):

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import constructions
 from .expectation import (
@@ -19,6 +19,7 @@ from .expectation import (
     count_constrained_cycles,
     expected_distinct_diffs,
     expected_distinct_sums,
+    format_rational,
 )
 from .groups import GroupSpec, abelian_groups_in_range
 from .search import (
@@ -62,13 +63,8 @@ class VerificationRecord:
             "verdict": self.verdict,
         }
 
+    # columns of the CSV rendering, named as in to_json_dict
     CSV_HEADER = "check,group,predicted,measured,verdict"
-
-    def to_csv_row(self) -> str:
-        return (
-            f"{self.check},{self.group},{self.predicted},"
-            f"{self.measured},{self.verdict}"
-        )
 
 
 def _rec(check: str, G: GroupSpec, predicted: str, measured: str, ok: bool) -> VerificationRecord:
@@ -117,15 +113,11 @@ def _check_extremals(G: GroupSpec, rep: ExtremalReport) -> list[VerificationReco
 def _check_expectations(G: GroupSpec, rep: ExtremalReport) -> list[VerificationRecord]:
     drnd = expected_distinct_diffs(G)
     srnd = expected_distinct_sums(G)
-
-    def fr(q: Fraction) -> str:
-        return f"{q.numerator}/{q.denominator}"
-
     out = [
-        _rec("mean-diffs-exact", G, fr(drnd), fr(rep.mean_distinct_diffs),
-             drnd == rep.mean_distinct_diffs),
-        _rec("mean-sums-exact", G, fr(srnd), fr(rep.mean_distinct_sums),
-             srnd == rep.mean_distinct_sums),
+        _rec("mean-diffs-exact", G, format_rational(drnd),
+             format_rational(rep.mean_distinct_diffs), drnd == rep.mean_distinct_diffs),
+        _rec("mean-sums-exact", G, format_rational(srnd),
+             format_rational(rep.mean_distinct_sums), srnd == rep.mean_distinct_sums),
     ]
     rd = asymptotic_residual(G, "diff")
     rs = asymptotic_residual(G, "sum")
@@ -159,29 +151,27 @@ def _check_min_connection(G: GroupSpec, budget: int | None) -> list[Verification
 
 def _check_forced_steps(G: GroupSpec) -> VerificationRecord:
     """Forced-step cycle counts against filtered enumeration, |A| <= 3."""
-    n = G.order
-    els = G.elements()
-    zero = G.zero()
+    gi = G.indexed
+    els = gi.els
+    steps = range(1, gi.n)  # the nonzero step elements g, by index
+    # (g, A) -> cycles in which every a in A is followed by a + g
+    observed: Counter = Counter()
+    for trail in enumerate_cycles(G):
+        verts = [gi.index[v] for v in trail.vertices]
+        forced: dict[int, list[int]] = {g: [] for g in steps}
+        for a, b in zip(verts, verts[1:] + verts[:1]):
+            forced[int(gi.diff[a, b])].append(a)
+        for g in steps:
+            for size in range(min(3, len(forced[g])) + 1):
+                for A in itertools.combinations(forced[g], size):
+                    observed[g, frozenset(A)] += 1
     checked = agree = 0
-    for g in els:
-        if g == zero:
-            continue
-        observed: dict[frozenset, int] = {}
-        for trail in enumerate_cycles(G):
-            succ = {}
-            verts = trail.vertices
-            for i, v in enumerate(verts):
-                succ[v] = verts[(i + 1) % n]
-            forced = [a for a in els if succ[a] == G.add(a, g)]
-            for size in range(0, min(3, len(forced)) + 1):
-                for A in itertools.combinations(forced, size):
-                    key = frozenset(A)
-                    observed[key] = observed.get(key, 0) + 1
-        for size in range(0, 4):
-            for A in itertools.combinations(els, size):
+    for g in steps:
+        for size in range(4):
+            for A in itertools.combinations(range(gi.n), size):
                 checked += 1
-                expected = count_constrained_cycles(G, g, A)
-                if observed.get(frozenset(A), 0) == expected:
+                expected = count_constrained_cycles(G, els[g], [els[a] for a in A])
+                if observed[g, frozenset(A)] == expected:
                     agree += 1
     return _rec("forced-step-counts", G, f"{checked} agree",
                 f"{agree}/{checked} agree", agree == checked)

@@ -218,3 +218,9 @@ def test_minimum_connection_budget_interval():
     assert res.status == "interval"
     assert res.size is None
     assert (res.lower, res.upper) == (3, 5)
+
+
+def test_hamiltonian_backtracking_deeper_than_the_recursion_limit():
+    ok, cycle = is_hamiltonian_cayley(group(2000), [(1,), (3,)], budget=10**6)
+    assert ok
+    assert cycle.covers_group and set(sum_labels(cycle).labels) <= {(1,), (3,)}

@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from hamlabels.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_PASS,
@@ -246,3 +248,31 @@ def test_cache_env_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("HAMLABELS_CACHE", str(tmp_path))
     run_cli("info", "--group", "4")
     assert len(list(tmp_path.glob("*.json"))) == 1
+
+
+def test_cache_key_depends_on_package_version(tmp_path, monkeypatch):
+    import hamlabels
+
+    args = ("scan", "--group", "6", "--cache", str(tmp_path))
+    _, a = run_cli(*args)
+    monkeypatch.setattr(hamlabels, "__version__", hamlabels.__version__ + "+changed")
+    _, b = run_cli(*args)  # a miss: computed again and stored under a new key
+    assert b == a
+    assert len(list(tmp_path.glob("*.json"))) == 2
+
+
+def test_cache_write_failure_leaves_no_partial_entry(tmp_path, monkeypatch):
+    import os
+
+    from hamlabels import cache
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    code, text = run_cli("scan", "--group", "6", "--cache", str(tmp_path))
+    assert code == EXIT_PASS and json.loads(text)["command"] == "scan"
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(OSError):
+        cache.cache_put(tmp_path, "k", "report", 0)
+    assert list(tmp_path.iterdir()) == []

@@ -1,0 +1,81 @@
+"""The integer-index group core: vectors and tables against tuple arithmetic."""
+
+from hypothesis import given, settings, strategies as st
+
+from hamlabels import abelian_groups_in_range, build_cayley, group, is_connected_cayley
+from hamlabels.search import _cayley_neighbours
+
+from oracles import raw_add, raw_elements
+
+SMALL_GROUPS = abelian_groups_in_range(1, 64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_GROUPS))
+def test_index_tables_agree_with_tuple_arithmetic(G):
+    gi = G.indexed
+    els = gi.els
+    for i, a in enumerate(els):
+        assert els[gi.neg[i]] == G.neg(a)
+        assert els[gi.double[i]] == G.scalar_mul(2, a)
+        assert gi.order[i] == G.element_order(a)
+        for j, b in enumerate(els):
+            assert els[gi.add[i, j]] == G.add(a, b)
+            assert els[gi.diff[i, j]] == G.sub(b, a)  # label of the edge a -> b
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_GROUPS))
+def test_index_round_trips(G):
+    gi = G.indexed
+    assert G.indexed is gi  # built once per group value
+    assert gi.els == G.elements() == tuple(raw_elements(G.invariant_factors))
+    for i, a in enumerate(gi.els):
+        assert gi.index[a] == G.element_index(a) == i
+        assert G.element_at(i) == a
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_GROUPS), st.data())
+def test_shift_and_closure_match_tuple_arithmetic(G, data):
+    gi = G.indexed
+    fs = G.invariant_factors
+    a = data.draw(st.integers(0, gi.n - 1))
+    assert [gi.els[k] for k in gi.shift(a)] == [raw_add(fs, gi.els[a], x) for x in gi.els]
+    gens = data.draw(st.lists(st.integers(0, gi.n - 1), max_size=3))
+    closed = {gi.els[0]}
+    while True:  # closure under adding a generator, by tuple arithmetic
+        more = {raw_add(fs, x, gi.els[g]) for x in closed for g in gens} - closed
+        if not more:
+            break
+        closed |= more
+    assert {gi.els[k] for k in gi.closure(gens)} == closed
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_GROUPS), st.data())
+def test_build_cayley_matches_hamiltonicity_masks(G, data):
+    els = G.elements()
+    S = frozenset(data.draw(st.lists(st.sampled_from(els), max_size=5)))
+    graph = build_cayley(G, S)
+    # the bit masks is_hamiltonian_cayley searches
+    masks = [sum(1 << j for j in nbrs) for nbrs in _cayley_neighbours(G, S)]
+    for i, g in enumerate(els):
+        want = sorted(h for h in els if h != g and G.add(g, h) in S)
+        assert list(graph.adjacency[g]) == want
+        assert masks[i] == sum(1 << G.element_index(h) for h in want)
+        assert (g in graph.loop_vertices) == (G.add(g, g) in S)
+
+
+def test_structural_connectivity_builds_no_table_on_large_groups():
+    G = group(100000)
+    assert is_connected_cayley(G, [(1,), (2,)])
+    assert not is_connected_cayley(G, [(2,), (4,)])  # S inside the even residues
+    built = vars(G.indexed)
+    assert "add" not in built and "diff" not in built
+
+
+def test_index_tables_are_compact():
+    gi = group(2, 4).indexed
+    for table in (gi.add, gi.diff):
+        assert table.shape == (8, 8) and table.itemsize == 2

@@ -188,3 +188,9 @@ def test_diff_cycle_on_nonzero_exists_for_noncyclic_order8():
         res = find_rainbow_diff_cycle_nonzero(group(*fs))
         assert res.status == "found", fs
         assert is_rainbow_diff_cycle(res.trail)
+
+
+def test_rainbow_search_deeper_than_the_recursion_limit():
+    res = find_rainbow_sum_cycle(group(2001))
+    assert res.status == "found" and res.nodes == 2000
+    assert res.trail.covers_group and is_rainbow_sum_cycle(res.trail)
