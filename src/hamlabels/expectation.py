@@ -3,7 +3,13 @@
 The expectation of the number of distinct differences (or sums) along a
 random cycle decomposes over labels g into counts of cycles containing g,
 which inclusion-exclusion reduces to alternating factorial sums weighted
-by subset counts.  Everything on the exact path is big-integer/rational;
+by subset counts.  For differences the sum over subset sizes j is taken
+inside the sum over fully included cosets i; with N = n - i*d points
+left it collapses to (-1)^N - a(N), where a is OEIS A000757 (cyclic
+permutations of N points with no i followed by i + 1), built once per
+call by its three-term recurrence.  A group of order n then costs
+O(sigma(n)) big-integer steps: n for the table, n/d per divisor d.
+Everything on the exact path is big-integer/rational;
 floats only ever appear in the Monte Carlo estimator and in residual
 reports against the (1 - 1/e)|G| reference line.
 """
@@ -70,14 +76,33 @@ def diff_free_subset_count(n: int, d: int, j: int) -> int:
     )
 
 
-def _cycles_containing_diff(n: int, d: int) -> int:
-    """|{cycles C : some fixed order-d element appears in D(C)}|."""
-    tau = 1 if d == n else 0
-    total = sum(
-        (-1) ** (j + 1) * factorial(n - j - 1) * diff_free_subset_count(n, d, j)
-        for j in range(1, n)
-    )
-    return total + (-1) ** (n + 1) * tau
+def _off_by_one_free_cycles(n: int) -> list[int]:
+    """a(0..n) of OEIS A000757: cyclic permutations of n points in which no
+    i is followed by i + 1 (mod n)."""
+    a = [1, 0, 0, 1][: n + 1]
+    for N in range(4, n + 1):
+        a.append((N - 3) * a[N - 1] + (N - 2) * (2 * a[N - 2] + a[N - 3]))
+    return a
+
+
+def _cycles_containing_diff(n: int, d: int, a: list[int]) -> int:
+    """|{cycles C : some fixed order-d element appears in D(C)}|.
+
+    ``a`` is ``_off_by_one_free_cycles(n)``.  Swapping the j- and i-sums
+    of the inclusion-exclusion leaves an inner sum that depends only on
+    N = n - i*d and equals b(N) = (-1)^N - a(N), so the count is
+    (n-1)! + b(n) + sum over 1 <= i < n/d of (-1)^(i(d+1)) C(n/d, i) b(n - i*d).
+    """
+    m = n // d
+    total = factorial(n - 1) + (-1) ** n - a[n]
+    c = 1
+    for i in range(1, m):
+        c = c * (m - i + 1) // i
+        N = n - i * d
+        total += (-1) ** (i * (d + 1)) * c * ((-1) ** N - a[N])
+    if d == n:
+        total += (-1) ** (n + 1)
+    return total
 
 
 def count_cycles_with_diff(G: GroupSpec, g: Element) -> int:
@@ -87,7 +112,8 @@ def count_cycles_with_diff(G: GroupSpec, g: Element) -> int:
     """
     if g == G.zero():
         raise ValueError("the zero element never occurs as a difference")
-    return _cycles_containing_diff(G.order, G.element_order(g))
+    n = G.order
+    return _cycles_containing_diff(n, G.element_order(g), _off_by_one_free_cycles(n))
 
 
 def expected_distinct_diffs(G: GroupSpec) -> Fraction:
@@ -101,13 +127,14 @@ def expected_distinct_diffs(G: GroupSpec) -> Fraction:
         raise ValueError("expectation undefined for the trivial group")
     if n == 2:
         return Fraction(1)
+    a = _off_by_one_free_cycles(n)
     total = 0
     for d in _divisors(n):
         if d < 2:
             continue
         k_d = G.count_by_order(d)
         if k_d:
-            total += k_d * _cycles_containing_diff(n, d)
+            total += k_d * _cycles_containing_diff(n, d, a)
     return Fraction(total, factorial(n - 1))
 
 

@@ -446,11 +446,13 @@ def _hamiltonian_backtrack(n: int, adj: list[int], budget: int | None) -> list[i
     """
     full = (1 << n) - 1
 
-    def successors(cur: int, visited: int) -> int:
+    def successors(cur: int, visited: int, recheck: int) -> int:
         free = ~visited & full
-        # every unvisited vertex still needs two usable connections
+        # every unvisited vertex still needs two usable connections; the
+        # parent node checked them all, and stepping on to cur took away
+        # only the previous vertex, so only its neighbours can fall short
         avail_pool = free | (1 << cur) | 1
-        m = free
+        m = recheck & free
         while m:
             u = _lowest_bit(m)
             m &= m - 1
@@ -461,7 +463,7 @@ def _hamiltonian_backtrack(n: int, adj: list[int], budget: int | None) -> list[i
     nodes = 0
     path = [0]
     visited = 1
-    steps = [successors(0, visited)]
+    steps = [successors(0, visited, full)]
     while steps:
         ext = steps[-1]
         if not ext:
@@ -480,7 +482,7 @@ def _hamiltonian_backtrack(n: int, adj: list[int], budget: int | None) -> list[i
                 return path
             steps.append(0)
         else:
-            steps.append(successors(w, visited))
+            steps.append(successors(w, visited, adj[path[-2]]))
     return None
 
 

@@ -16,6 +16,7 @@ from hamlabels import (
     minimum_connection_size,
     sum_labels,
 )
+from hamlabels.search import _hamiltonian_backtrack, _lowest_bit
 
 
 # -- graph construction ------------------------------------------------------------
@@ -224,3 +225,67 @@ def test_hamiltonian_backtracking_deeper_than_the_recursion_limit():
     ok, cycle = is_hamiltonian_cayley(group(2000), [(1,), (3,)], budget=10**6)
     assert ok
     assert cycle.covers_group and set(sum_labels(cycle).labels) <= {(1,), (3,)}
+
+
+def _full_cut_backtrack(n, adj, budget):
+    """The backtracking search with the availability cut run over every
+    unvisited vertex at every node: the reference for the incremental cut."""
+    full = (1 << n) - 1
+
+    def successors(cur, visited):
+        free = ~visited & full
+        avail_pool = free | (1 << cur) | 1
+        m = free
+        while m:
+            u = _lowest_bit(m)
+            m &= m - 1
+            if (adj[u] & avail_pool).bit_count() < 2:
+                return 0
+        return adj[cur] & free
+
+    nodes = 0
+    path = [0]
+    visited = 1
+    steps = [successors(0, visited)]
+    while steps:
+        ext = steps[-1]
+        if not ext:
+            steps.pop()
+            visited ^= 1 << path.pop()
+            continue
+        w = _lowest_bit(ext)
+        steps[-1] = ext & (ext - 1)
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise SearchBudgetExceeded(nodes)
+        path.append(w)
+        visited |= 1 << w
+        if visited == full:
+            if adj[w] & 1:
+                return path
+            steps.append(0)
+        else:
+            steps.append(successors(w, visited))
+    return None
+
+
+def _search_outcome(search, n, adj, budget):
+    try:
+        return "path", search(n, adj, budget)
+    except SearchBudgetExceeded as exc:
+        return "exhausted", exc.nodes
+
+
+def test_incremental_availability_cut_matches_the_full_cut():
+    rng = random.Random(2024)
+    for _ in range(600):
+        n = rng.randint(3, 14)
+        p = rng.choice((0.25, 0.4, 0.6))
+        adj = [0] * n
+        for u, v in itertools.combinations(range(n), 2):
+            if rng.random() < p:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        for budget in (None, 5, 50):
+            assert _search_outcome(_hamiltonian_backtrack, n, adj, budget) == \
+                _search_outcome(_full_cut_backtrack, n, adj, budget), (n, adj, budget)

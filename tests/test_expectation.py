@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -16,6 +17,11 @@ from hamlabels import (
     group,
     monte_carlo_estimate,
     sum_free_subset_count,
+)
+from hamlabels.expectation import (
+    RESIDUAL_BOUND,
+    _cycles_containing_diff,
+    _off_by_one_free_cycles,
 )
 
 from oracles import (
@@ -86,6 +92,36 @@ def test_count_depends_only_on_element_order():
             assert by_order.setdefault(d, c) == c, (G, g)
 
 
+def _double_sum_cycles_containing_diff(n, d):
+    """The inclusion-exclusion double sum over subset sizes j and fully
+    included cosets i, in the order that defines it."""
+    tau = 1 if d == n else 0
+    total = sum(
+        (-1) ** (j + 1) * factorial(n - j - 1) * diff_free_subset_count(n, d, j)
+        for j in range(1, n)
+    )
+    return total + (-1) ** (n + 1) * tau
+
+
+def test_swapped_sum_matches_the_double_sum():
+    for n in range(3, 121):
+        a = _off_by_one_free_cycles(n)
+        for d in range(2, n + 1):
+            if n % d == 0:
+                assert _cycles_containing_diff(n, d, a) == \
+                    _double_sum_cycles_containing_diff(n, d), (n, d)
+
+
+def test_off_by_one_free_recurrence_matches_its_sum():
+    a = _off_by_one_free_cycles(300)
+    assert a[:10] == [1, 0, 0, 1, 1, 8, 36, 229, 1625, 13208]
+    for N in range(1, 301):
+        direct = (-1) ** N + sum(
+            (-1) ** k * comb(N, k) * factorial(N - k - 1) for k in range(N)
+        )
+        assert a[N] == direct, N
+
+
 # -- expected distinct differences ------------------------------------------------------
 
 def test_expected_diffs_examples():
@@ -153,6 +189,11 @@ def test_residual_examples():
     assert float(asymptotic_residual(group(3), "diff")) == pytest.approx(-0.896361676, abs=1e-8)
     assert float(asymptotic_residual(group(4), "diff")) == pytest.approx(-0.195148902, abs=1e-8)
     assert float(asymptotic_residual(group(4), "sum")) == pytest.approx(0.138184431, abs=1e-8)
+
+
+def test_residual_bound_at_large_order():
+    for G in (group(2000), group(2, 1000)):
+        assert abs(float(asymptotic_residual(G, "diff"))) <= RESIDUAL_BOUND, G
 
 
 def test_residual_mode_validation():
