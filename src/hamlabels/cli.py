@@ -17,9 +17,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, fields
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import factorial
 
 from . import cache as cache_mod
 from .constructions import BUILDERS, ConstructionError
@@ -57,13 +59,20 @@ CACHE_ENV = "HAMLABELS_CACHE"
 # bytes of a report change for the same run parameters.
 REPORT_SCHEMA = 1
 
+# Significant digits of the decimals in expect reports.
+DIGITS = 12
+
+# Ceiling on --cap: order 13 scans 12! cycles in about 11 minutes at 0.72 M
+# cycles/s (one thread, 2 vCPU); order 14 would take about 2.4 hours.
+MAX_CAP = 13
+
 __all__ = ["RunConfig", "run", "main", "EXIT_PASS", "EXIT_FAIL", "EXIT_USAGE", "EXIT_INCONCLUSIVE"]
 
 
 @dataclass
 class RunConfig:
     command: str
-    groups: tuple[str, ...] = ()
+    groups: Sequence[str] = ()
     orders: tuple[int, int] | None = None
     builder: str | None = None
     budget: int | None = None
@@ -73,26 +82,14 @@ class RunConfig:
     cache_path: str | None = None
     mc_trials: int | None = None
     cap: int = DEFAULT_ENUMERATION_CAP
-    digits: int = 12
 
     def cache_payload(self) -> dict:
-        # threads excluded: it never affects output bytes
         from . import __version__  # read per call, not frozen at import
 
-        return {
-            "version": __version__,
-            "schema": REPORT_SCHEMA,
-            "command": self.command,
-            "groups": list(self.groups),
-            "orders": list(self.orders) if self.orders else None,
-            "builder": self.builder,
-            "budget": self.budget,
-            "seed": self.seed,
-            "fmt": self.fmt,
-            "mc_trials": self.mc_trials,
-            "cap": self.cap,
-            "digits": self.digits,
-        }
+        payload = asdict(self)
+        # neither changes the bytes of a report
+        del payload["threads"], payload["cache_path"]
+        return {**payload, "version": __version__, "schema": REPORT_SCHEMA}
 
 
 class UsageError(ValueError):
@@ -109,10 +106,19 @@ def _parse_orders(text: str) -> tuple[int, int]:
         else:
             raise ValueError
     except ValueError:
-        raise UsageError(f"bad order range {text!r}; expected e.g. 3..10") from None
+        raise argparse.ArgumentTypeError(
+            f"bad order range {text!r}; expected e.g. 3..10") from None
     if lo < 1 or hi < lo:
-        raise UsageError(f"bad order range {text!r}")
+        raise argparse.ArgumentTypeError(f"bad order range {text!r}")
     return lo, hi
+
+
+def _check_cap(cap: int) -> None:
+    if cap > MAX_CAP:
+        raise UsageError(
+            f"--cap {cap} admits orders up to {cap}, whose scans walk "
+            f"{cap - 1}! = {factorial(cap - 1)} cycles; the ceiling is {MAX_CAP}"
+        )
 
 
 def _resolve_groups(cfg: RunConfig) -> list[GroupSpec]:
@@ -181,6 +187,7 @@ def _cmd_construct(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def _cmd_scan(cfg: RunConfig) -> tuple[dict, int]:
+    _check_cap(cfg.cap)
     reports = []
     for G in _resolve_groups(cfg):
         try:
@@ -203,8 +210,8 @@ def _cmd_expect(cfg: RunConfig) -> tuple[dict, int]:
                 "group": str(G),
                 "mode": mode,
                 "exact": format_rational(exact),
-                "decimal": _frac_decimal(exact, cfg.digits),
-                "residual": str(asymptotic_residual(G, mode, cfg.digits)),
+                "decimal": _frac_decimal(exact, DIGITS),
+                "residual": str(asymptotic_residual(G, mode, DIGITS)),
                 "mc": None,
             }
             if cfg.mc_trials:
@@ -246,6 +253,7 @@ def _cmd_smin(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def _cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
+    _check_cap(cfg.cap)
     lo, hi = cfg.orders if cfg.orders else (3, 10)
     try:
         records = verify_orders(lo, hi, budget=cfg.budget,
@@ -344,9 +352,9 @@ def _render(payload: dict, fmt: str) -> str:
 def run(cfg: RunConfig, out=None) -> int:
     """Execute a config and write the report; returns the exit status."""
     out = out if out is not None else sys.stdout
-    cache_root = cfg.cache_path or os.environ.get(CACHE_ENV) or None
+    cache_root = cfg.cache_path or os.environ.get(CACHE_ENV)
     key = cache_mod.cache_key(cfg.cache_payload()) if cache_root else None
-    if cache_root and key:
+    if key:
         hit = cache_mod.cache_get(cache_root, key)
         if hit is not None:
             out.write(hit["report"])
@@ -358,7 +366,7 @@ def run(cfg: RunConfig, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out.write(report)
-    if cache_root and key:
+    if key:
         try:
             cache_mod.cache_put(cache_root, key, report, code)
         except OSError as exc:
@@ -375,56 +383,50 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {name: sub.add_parser(name, help=text) for name, text in (
+        ("info", "group structure report"),
+        ("construct", "run a named cycle/path builder"),
+        ("scan", "exhaustive extremal/mean label statistics"),
+        ("expect", "exact expected distinct label counts"),
+        ("smin", "minimum Hamiltonian connection-set size"),
+        ("verify", "run all claim checks over an order range"),
+    )}
+    commands["construct"].add_argument("builder", choices=sorted(BUILDERS))
 
-    def common(p, *, orders_default=None):
-        p.add_argument("--group", action="append", default=[],
-                       help="group descriptor, e.g. 12 or 2x4 or Z2xZ6 (repeatable)")
-        p.add_argument("--orders", default=orders_default,
-                       help="order range A..B expanding to all abelian groups")
-        p.add_argument("--budget", type=int, default=None,
-                       help="search budget in nodes (reproducible, not wall time)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (wall time only, never output)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for Monte Carlo sampling")
-        p.add_argument("--format", dest="fmt", default="json",
-                       choices=["json", "csv", "text"])
-        p.add_argument("--cache", dest="cache_path", default=None,
-                       help=f"report cache directory (or ${CACHE_ENV})")
-        p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-                       help="enumeration cap on |G| for full scans")
+    def flag(readers: str, *names, **kwargs):
+        """Declare one flag on each subcommand that reads it."""
+        for command in readers.split():
+            commands[command].add_argument(*names, **kwargs)
 
-    common(sub.add_parser("info", help="group structure report"))
-    p_construct = sub.add_parser("construct", help="run a named cycle/path builder")
-    p_construct.add_argument("builder", choices=sorted(BUILDERS))
-    common(p_construct)
-    common(sub.add_parser("scan", help="exhaustive extremal/mean label statistics"))
-    p_expect = sub.add_parser("expect", help="exact expected distinct label counts")
-    p_expect.add_argument("--exact", action="store_true",
-                          help="exact values (always computed; flag kept for scripts)")
-    p_expect.add_argument("--mc-trials", dest="mc_trials", type=int, default=None,
-                          help="add a Monte Carlo estimate with this many trials")
-    common(p_expect)
-    common(sub.add_parser("smin", help="minimum Hamiltonian connection-set size"))
-    common(sub.add_parser("verify", help="run all claim checks over an order range"))
+    flag("info construct scan expect smin", "--group", dest="groups",
+         metavar="GROUP", action="append", default=[],
+         help="group descriptor, e.g. 12 or 2x4 or Z2xZ6 (repeatable)")
+    flag("info construct scan expect smin verify", "--orders", type=_parse_orders,
+         help="order range A..B expanding to all abelian groups "
+              "(verify: default 3..10)")
+    flag("smin verify", "--budget", type=int, default=None,
+         help="search budget in nodes (reproducible, not wall time)")
+    flag("scan verify", "--threads", type=int, default=1,
+         help="worker threads (wall time only, never output)")
+    flag("scan verify", "--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+         help=f"enumeration cap on |G| for full scans (at most {MAX_CAP})")
+    flag("expect", "--seed", type=int, default=0,
+         help="seed for Monte Carlo sampling")
+    flag("expect", "--mc-trials", dest="mc_trials", type=int, default=None,
+         help="add a Monte Carlo estimate with this many trials")
+    flag("expect", "--exact", action="store_true",
+         help="exact values (always computed; flag kept for scripts)")
+    every = " ".join(commands)
+    flag(every, "--format", dest="fmt", default="json", choices=["json", "csv", "text"])
+    flag(every, "--cache", dest="cache_path", default=None,
+         help=f"report cache directory (or ${CACHE_ENV})")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    orders = _parse_orders(args.orders) if args.orders else None
-    return RunConfig(
-        command=args.command,
-        groups=tuple(args.group),
-        orders=orders,
-        builder=getattr(args, "builder", None),
-        budget=args.budget,
-        threads=args.threads,
-        seed=args.seed,
-        fmt=args.fmt,
-        cache_path=args.cache_path,
-        mc_trials=getattr(args, "mc_trials", None),
-        cap=args.cap,
-    )
+    given = vars(args)
+    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig)
+                        if f.name in given})
 
 
 def main(argv=None) -> int:
@@ -434,12 +436,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    try:
-        cfg = config_from_args(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return run(cfg)
+    return run(config_from_args(args))
 
 
 if __name__ == "__main__":

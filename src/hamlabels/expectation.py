@@ -9,6 +9,8 @@ left it collapses to (-1)^N - a(N), where a is OEIS A000757 (cyclic
 permutations of N points with no i followed by i + 1), built once per
 call by its three-term recurrence.  A group of order n then costs
 O(sigma(n)) big-integer steps: n for the table, n/d per divisor d.
+For sums the count depends only on the number of complementary pairs
+{a, g - a} of the label and costs O(n) big-integer steps.
 Everything on the exact path is big-integer/rational;
 floats only ever appear in the Monte Carlo estimator and in residual
 reports against the (1 - 1/e)|G| reference line.
@@ -160,6 +162,22 @@ def sum_free_subset_count(n: int, n0: int, j: int, g_in_doubled: bool) -> int:
     return comb(pairs, j) * 2**j
 
 
+def _cycles_containing_sum(n: int, pairs: int) -> int:
+    """|{cycles C on n points : a fixed label g appears in S(C)}|, where
+    ``pairs`` counts the complementary pairs {a, g - a} with a != g - a.
+
+    Inclusion-exclusion over the j pairs forced to be edges: the sum over
+    1 <= j <= pairs of (-1)^(j+1) (n-j-1)! C(pairs, j) 2^j, each term taken
+    from the one before by one multiplication and one exact division.
+    """
+    total = 0
+    term = factorial(n - 2) * pairs * 2  # j = 1
+    for j in range(1, pairs + 1):
+        total += term if j % 2 else -term
+        term = term * (pairs - j) * 2 // ((n - j - 1) * (j + 1))
+    return total
+
+
 def expected_distinct_sums(G: GroupSpec) -> Fraction:
     """Exact expectation of |S(C)| for C uniform over all cycles.
 
@@ -172,22 +190,12 @@ def expected_distinct_sums(G: GroupSpec) -> Fraction:
     if n == 2:
         return Fraction(1)
     n0 = G.two_torsion_count()
-    total = Fraction(0)
+    # n/n0 labels lie in 2G, each with n0 roots c (g = 2c) that pair with
+    # themselves; for even n the other n - n/n0 labels split G into n/2 pairs
+    total = (n // n0) * _cycles_containing_sum(n, (n - n0) // 2)
     if n % 2 == 0:
-        # labels outside 2G: n - n/n0 of them
-        s = sum(
-            (-1) ** (j + 1) * factorial(n - j - 1)
-            * sum_free_subset_count(n, n0, j, g_in_doubled=False)
-            for j in range(1, n // 2 + 1)
-        )
-        total += Fraction((n - n // n0) * s, factorial(n - 1))
-    s = sum(
-        (-1) ** (j + 1) * factorial(n - j - 1)
-        * sum_free_subset_count(n, n0, j, g_in_doubled=True)
-        for j in range(1, (n - n0) // 2 + 1)
-    )
-    total += Fraction((n // n0) * s, factorial(n - 1))
-    return total
+        total += (n - n // n0) * _cycles_containing_sum(n, n // 2)
+    return Fraction(total, factorial(n - 1))
 
 
 def asymptotic_residual(G: GroupSpec, mode: str, digits: int = 12) -> Decimal:

@@ -417,10 +417,6 @@ class EvenDecomposition:
     odd_part: GroupSpec
     cyclic_order: int
 
-    @property
-    def half(self) -> int:
-        return self.cyclic_order // 2
-
     def _odd_residue(self) -> int:
         return self.group.invariant_factors[-1] // self.cyclic_order
 

@@ -81,9 +81,6 @@ class LabelSet:
     def total(self) -> int:
         return sum(self.labels.values())
 
-    def sorted_items(self) -> list[tuple[Element, int]]:
-        return sorted(self.labels.items())
-
     def weighted_sum(self, G: GroupSpec) -> Element:
         """Group sum of all labels counted with multiplicity."""
         acc = G.zero()

@@ -1,7 +1,9 @@
 """CLI behaviour: report shapes, exit codes, determinism, caching."""
 
+import argparse
 import io
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -10,6 +12,7 @@ from hamlabels.cli import (
     EXIT_PASS,
     EXIT_USAGE,
     RunConfig,
+    build_parser,
     main,
     run,
 )
@@ -205,6 +208,74 @@ def test_csv_unavailable_for_info():
     assert code == EXIT_USAGE
 
 
+# the flags each subcommand reads, besides --format and --cache
+READS = {
+    "info": {"--group", "--orders"},
+    "construct": {"--group", "--orders"},
+    "scan": {"--group", "--orders", "--threads", "--cap"},
+    "expect": {"--group", "--orders", "--seed", "--mc-trials", "--exact"},
+    "smin": {"--group", "--orders", "--budget"},
+    "verify": {"--orders", "--budget", "--threads", "--cap"},
+}
+
+
+def test_each_subcommand_accepts_only_the_flags_it_reads():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    accepted = {
+        name: {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
+        for name, p in subparsers.choices.items()
+    }
+    assert accepted == {name: flags | {"--format", "--cache"}
+                        for name, flags in READS.items()}
+    assert sum(map(len, accepted.values())) == 32
+
+
+# a run each subcommand completes quickly, and a flag it does not read
+IGNORED = [
+    (("info", "--group", "4"), ("--budget", "5")),
+    (("info", "--group", "4"), ("--threads", "2")),
+    (("info", "--group", "4"), ("--seed", "1")),
+    (("info", "--group", "4"), ("--cap", "8")),
+    (("construct", "min-diff", "--group", "4"), ("--budget", "5")),
+    (("construct", "min-diff", "--group", "4"), ("--threads", "2")),
+    (("construct", "min-diff", "--group", "4"), ("--seed", "1")),
+    (("construct", "min-diff", "--group", "4"), ("--cap", "8")),
+    (("scan", "--group", "4"), ("--budget", "5")),
+    (("scan", "--group", "4"), ("--seed", "1")),
+    (("expect", "--group", "4"), ("--budget", "5")),
+    (("expect", "--group", "4"), ("--threads", "2")),
+    (("expect", "--group", "4"), ("--cap", "8")),
+    (("smin", "--group", "4"), ("--threads", "2")),
+    (("smin", "--group", "4"), ("--seed", "1")),
+    (("smin", "--group", "4"), ("--cap", "8")),
+    (("verify", "--orders", "3..4"), ("--group", "4")),
+    (("verify", "--orders", "3..4"), ("--seed", "1")),
+]
+
+
+@pytest.mark.parametrize("argv, flag", IGNORED,
+                         ids=[f"{argv[0]} {flag[0]}" for argv, flag in IGNORED])
+def test_flag_the_subcommand_does_not_read_is_usage_error(argv, flag, capsys):
+    assert run_cli(*argv)[0] == EXIT_PASS
+    code, out = run_cli(*argv, *flag)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert flag[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("scan", "--group", "2"), ("verify", "--orders", "3..4")])
+def test_cap_above_the_ceiling_is_usage_error(argv, capsys):
+    code, out = run_cli(*argv, "--cap", "14")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "13! = 6227020800 cycles" in capsys.readouterr().err
+
+
+def test_cap_at_the_ceiling_runs():
+    code, _ = run_cli("scan", "--group", "5", "--cap", "13")
+    assert code == EXIT_PASS
+
+
 def test_byte_determinism_and_thread_independence():
     cfg1 = RunConfig(command="scan", groups=("8",), threads=1)
     cfg2 = RunConfig(command="scan", groups=("8",), threads=4)
@@ -223,6 +294,20 @@ def test_cache_round_trip(tmp_path):
     assert len(files) == 1
     code2, b = run_cli(*args)
     assert (code1, a) == (code2, b)
+
+
+def test_cache_key_ignores_threads(tmp_path):
+    args = ("scan", "--group", "6", "--cache", str(tmp_path))
+    _, a = run_cli(*args)
+    _, b = run_cli(*args, "--threads", "2")
+    assert b == a
+    assert len(list(tmp_path.glob("*.json"))) == 1
+
+
+def test_cache_payload_holds_every_field_that_can_change_a_report():
+    keys = set(RunConfig(command="scan").cache_payload())
+    assert keys == ({f.name for f in fields(RunConfig)} - {"threads", "cache_path"}
+                    | {"version", "schema"})
 
 
 def test_cache_key_depends_on_budget(tmp_path):

@@ -21,6 +21,7 @@ from hamlabels import (
 from hamlabels.expectation import (
     RESIDUAL_BOUND,
     _cycles_containing_diff,
+    _cycles_containing_sum,
     _off_by_one_free_cycles,
 )
 
@@ -183,6 +184,21 @@ def test_expected_sums_equals_enumeration_mean():
         assert got == raw_scan(G.invariant_factors)["mean_sums"], G
 
 
+def test_running_terms_match_the_subset_count_sum():
+    # reference: the inclusion-exclusion spelled term by term from the
+    # public subset counts, for labels inside 2G and (even order) outside it
+    for G in abelian_groups_in_range(3, 64):
+        n, n0 = G.order, G.two_torsion_count()
+        cases = [(True, (n - n0) // 2)] + ([(False, n // 2)] if n % 2 == 0 else [])
+        for in_doubled, pairs in cases:
+            ref = sum(
+                (-1) ** (j + 1) * factorial(n - j - 1)
+                * sum_free_subset_count(n, n0, j, g_in_doubled=in_doubled)
+                for j in range(1, n // 2 + 1)
+            )
+            assert _cycles_containing_sum(n, pairs) == ref, (G, in_doubled)
+
+
 # -- residuals ------------------------------------------------------------------------------
 
 def test_residual_examples():
@@ -193,7 +209,8 @@ def test_residual_examples():
 
 def test_residual_bound_at_large_order():
     for G in (group(2000), group(2, 1000)):
-        assert abs(float(asymptotic_residual(G, "diff"))) <= RESIDUAL_BOUND, G
+        for mode in ("diff", "sum"):
+            assert abs(float(asymptotic_residual(G, mode))) <= RESIDUAL_BOUND, (G, mode)
 
 
 def test_residual_mode_validation():
