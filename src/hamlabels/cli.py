@@ -26,7 +26,7 @@ from math import factorial
 from . import cache as cache_mod
 from .constructions import BUILDERS, ConstructionError
 from .expectation import (
-    asymptotic_residual,
+    _residual,
     expected_distinct_diffs,
     expected_distinct_sums,
     format_rational,
@@ -211,7 +211,7 @@ def _cmd_expect(cfg: RunConfig) -> tuple[dict, int]:
                 "mode": mode,
                 "exact": format_rational(exact),
                 "decimal": _frac_decimal(exact, DIGITS),
-                "residual": str(asymptotic_residual(G, mode, DIGITS)),
+                "residual": str(_residual(exact, G.order, DIGITS)),
                 "mc": None,
             }
             if cfg.mc_trials:

@@ -209,13 +209,15 @@ def asymptotic_residual(G: GroupSpec, mode: str, digits: int = 12) -> Decimal:
         exact = expected_distinct_sums(G)
     else:
         raise ValueError(f"mode must be 'sum' or 'diff', got {mode!r}")
+    return _residual(exact, G.order, digits)
+
+
+def _residual(exact: Fraction, n: int, digits: int = 12) -> Decimal:
+    """``exact`` minus (1 - 1/e)n, to the given significant digits."""
     with localcontext() as ctx:
         ctx.prec = digits + 10
         e_inv = Decimal(1) / Decimal(1).exp()
-        val = (
-            Decimal(exact.numerator) / Decimal(exact.denominator)
-            - (1 - e_inv) * G.order
-        )
+        val = Decimal(exact.numerator) / Decimal(exact.denominator) - (1 - e_inv) * n
         ctx.prec = digits
         return +val
 

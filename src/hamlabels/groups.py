@@ -289,8 +289,9 @@ class GroupIndex:
 def _element_set(G: GroupSpec, items) -> frozenset[Element]:
     """Outside input as a set of element tuples; ValueError on a non-element."""
     out = frozenset(tuple(a) for a in items)
+    index = G.indexed.index
     for a in out:
-        if not G.contains(a):
+        if a not in index:
             raise ValueError(f"{a} is not an element of {G}")
     return out
 

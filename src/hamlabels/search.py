@@ -4,6 +4,9 @@ Covers full Hamiltonian-cycle enumeration with extremal statistics,
 backtracking witness searches for rainbow trails, addition Cayley graphs
 with connectivity and Hamiltonicity tests, and the exact minimum size of
 a connection set giving a Hamiltonian addition Cayley graph.
+Hamiltonicity has one backtracking search: up to ``DEFAULT_DP_LIMIT``
+vertices it is exact and unbudgeted and remembers dead states, above it
+it is budgeted.
 
 Budgets are node counts, never wall time, so results are reproducible.
 A search only ever reports "nonexistent" after exhausting its whole
@@ -49,9 +52,10 @@ __all__ = [
 
 DEFAULT_ENUMERATION_CAP = 12
 
-# Exact subset DP is used up to this many vertices; beyond it the budgeted
-# backtracking path takes over.  Kept well below the point where the mask
-# table stops fitting in memory/time.
+# Up to this many vertices the Hamiltonicity search runs without a budget
+# and remembers dead (visited, vertex) states, at most 2^(n-1)*n of them;
+# beyond it the search is budgeted and keeps no memo.  Also the largest
+# gate is_hamiltonian_cayley accepts, so the memo stays small.
 DEFAULT_DP_LIMIT = 16
 
 _CHUNK_ROWS = 200_000
@@ -369,6 +373,17 @@ def build_cayley(G: GroupSpec, S) -> CayleyGraph:
     return CayleyGraph(G, S, adjacency, loops)
 
 
+def _is_connected_structural(G: GroupSpec, S: frozenset[Element]) -> bool:
+    """The structural connectivity test on an already validated S."""
+    if not S:
+        return G.order == 1
+    s0 = min(S)
+    H = span(G, [G.sub(s, s0) for s in S])
+    if len(H) == G.order:
+        return True
+    return 2 * len(H) == G.order and s0 not in H
+
+
 def is_connected_cayley(G: GroupSpec, S, method: str = "structural") -> bool:
     """Connectivity of the addition Cayley graph, two independent ways.
 
@@ -379,13 +394,7 @@ def is_connected_cayley(G: GroupSpec, S, method: str = "structural") -> bool:
     """
     S = _element_set(G, S)
     if method == "structural":
-        if not S:
-            return G.order == 1
-        s0 = min(S)
-        H = span(G, [G.sub(s, s0) for s in S])
-        if len(H) == G.order:
-            return True
-        return 2 * len(H) == G.order and s0 not in H
+        return _is_connected_structural(G, S)
     if method == "bfs":
         nbrs = _cayley_neighbours(G, S)
         seen = {0}
@@ -403,48 +412,21 @@ def _lowest_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def _hamiltonian_dp(n: int, adj: list[int]) -> list[int] | None:
-    """Subset DP over paths from vertex 0; returns a closing cycle or None."""
-    size = 1 << n
-    reach = [0] * size
-    reach[1] = 1
-    for mask in range(1, size):
-        lasts = reach[mask]
-        if not lasts:
-            continue
-        m = lasts
-        while m:
-            v = _lowest_bit(m)
-            m &= m - 1
-            ext = adj[v] & ~mask
-            while ext:
-                w = _lowest_bit(ext)
-                ext &= ext - 1
-                reach[mask | (1 << w)] |= 1 << w
-    full = size - 1
-    closers = reach[full] & adj[0] & ~1
-    if not closers:
-        return None
-    last = _lowest_bit(closers)
-    path = [last]
-    mask = full
-    while path[-1] != 0:
-        cur = path[-1]
-        prev_mask = mask ^ (1 << cur)
-        prevs = reach[prev_mask] & adj[cur]
-        path.append(_lowest_bit(prevs))
-        mask = prev_mask
-    path.reverse()
-    return path
-
-
-def _hamiltonian_backtrack(n: int, adj: list[int], budget: int | None) -> list[int] | None:
+def _hamiltonian_backtrack(n: int, adj: list[int], budget: int | None,
+                           memo: bool = False) -> list[int] | None:
     """Pruned DFS Hamiltonicity: degree-1 forcing plus availability cut.
 
-    The stack is explicit, so the depth is not bounded by the recursion
-    limit; ``steps[d]`` holds the untried successors of ``path[d]``.
+    Returns the lexicographically least cycle (0, x1, ..., x_{n-1}), or
+    None.  The stack is explicit, so the depth is not bounded by the
+    recursion limit; ``steps[d]`` holds the untried successors of
+    ``path[d]``.  With ``memo`` the search also remembers dead
+    (visited, vertex) states, whose subtrees held no cycle.  The
+    incremental cut equals the full cut, so a subtree depends only on
+    that pair; it is never entered twice, and at most 2^(n-1)*n states
+    are visited.
     """
     full = (1 << n) - 1
+    dead = set()  # read and written only with memo
 
     def successors(cur: int, visited: int, recheck: int) -> int:
         free = ~visited & full
@@ -468,10 +450,14 @@ def _hamiltonian_backtrack(n: int, adj: list[int], budget: int | None) -> list[i
         ext = steps[-1]
         if not ext:
             steps.pop()
+            if memo:
+                dead.add((visited, path[-1]))
             visited ^= 1 << path.pop()
             continue
         w = _lowest_bit(ext)
         steps[-1] = ext & (ext - 1)
+        if memo and (visited | 1 << w, w) in dead:
+            continue
         nodes += 1
         if budget is not None and nodes > budget:
             raise SearchBudgetExceeded(nodes)
@@ -490,11 +476,16 @@ def is_hamiltonian_cayley(G: GroupSpec, S, *, budget: int | None = None,
                           dp_limit: int = DEFAULT_DP_LIMIT) -> tuple[bool, Trail | None]:
     """Exact Hamiltonicity of the addition Cayley graph, with witness.
 
-    Subset DP (exact, no budget) up to ``dp_limit`` vertices, budgeted
-    backtracking beyond; raises SearchBudgetExceeded rather than guessing
-    when the budget runs out.  A witness cycle C always satisfies
-    S(C) being a subset of the connection set.
+    One backtracking search.  Up to ``dp_limit`` vertices it runs without
+    a budget and remembers dead states, so it visits at most 2^(n-1)*n of
+    them; beyond, it keeps no memo and raises SearchBudgetExceeded rather
+    than guessing when the budget runs out.  A witness cycle C always
+    satisfies S(C) being a subset of the connection set.
     """
+    if dp_limit > DEFAULT_DP_LIMIT:
+        raise ValueError(
+            f"dp_limit {dp_limit} exceeds {DEFAULT_DP_LIMIT}: an unbudgeted search "
+            f"may visit 2^{dp_limit - 1}*{dp_limit} = {dp_limit << (dp_limit - 1)} states")
     S = _element_set(G, S)
     n = G.order
     if n < 2:
@@ -504,13 +495,17 @@ def is_hamiltonian_cayley(G: GroupSpec, S, *, budget: int | None = None,
         if nz in S:  # the single edge doubles as a 2-cycle
             return True, Trail(G, (G.zero(), nz), cyclic=True)
         return False, None
-    if not is_connected_cayley(G, S, method="structural"):
+    if not _is_connected_structural(G, S):
         return False, None
     adj = [sum(1 << j for j in nbrs) for nbrs in _cayley_neighbours(G, S)]
     if any(a.bit_count() < 2 for a in adj):
         return False, None
     if n <= dp_limit:
-        path = _hamiltonian_dp(n, adj)
+        path = _hamiltonian_backtrack(n, adj, None, memo=True)
+        if path is not None:
+            # the least cycle walked the other way round from 0: the
+            # orientation smin reports and the benchmark pins record
+            path = [0] + path[:0:-1]
     else:
         path = _hamiltonian_backtrack(n, adj, budget)
     if path is None:
@@ -568,8 +563,8 @@ def _size_bounds(G: GroupSpec) -> tuple[int, int]:
     return max(lower, 1), upper
 
 
-def minimum_connection_size(G: GroupSpec, *, budget: int | None = None,
-                            dp_limit: int = DEFAULT_DP_LIMIT) -> MinConnectionResult:
+def minimum_connection_size(G: GroupSpec, *,
+                            budget: int | None = None) -> MinConnectionResult:
     """Least k such that some k-subset gives a Hamiltonian addition Cayley graph.
 
     Candidate sets are walked in ascending size from the rank-based lower
@@ -599,8 +594,7 @@ def minimum_connection_size(G: GroupSpec, *, budget: int | None = None,
                 continue
             subset = tuple(els[i] for i in idx_tuple)
             try:
-                ok, cycle = is_hamiltonian_cayley(G, subset, budget=budget,
-                                                  dp_limit=dp_limit)
+                ok, cycle = is_hamiltonian_cayley(G, subset, budget=budget)
             except SearchBudgetExceeded:
                 return MinConnectionResult(G, "interval", None, k, upper, None, None)
             if ok:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import constructions
 from .expectation import (
     RESIDUAL_BOUND,
-    asymptotic_residual,
+    _residual,
     count_constrained_cycles,
     expected_distinct_diffs,
     expected_distinct_sums,
@@ -119,8 +119,8 @@ def _check_expectations(G: GroupSpec, rep: ExtremalReport) -> list[VerificationR
         _rec("mean-sums-exact", G, format_rational(srnd),
              format_rational(rep.mean_distinct_sums), srnd == rep.mean_distinct_sums),
     ]
-    rd = asymptotic_residual(G, "diff")
-    rs = asymptotic_residual(G, "sum")
+    rd = _residual(drnd, G.order)
+    rs = _residual(srnd, G.order)
     out.append(_rec("residual-bounded", G, f"|r|<={RESIDUAL_BOUND}",
                     f"diff={rd} sum={rs}",
                     abs(rd) <= RESIDUAL_BOUND and abs(rs) <= RESIDUAL_BOUND))
@@ -243,11 +243,10 @@ def _check_constructions(G: GroupSpec) -> VerificationRecord:
                 f"verified: {' '.join(ran)}", True)
 
 
-def verify_group(G: GroupSpec, *, scan_report: ExtremalReport | None = None,
-                 budget: int | None = None, threads: int = 1,
+def verify_group(G: GroupSpec, *, budget: int | None = None, threads: int = 1,
                  cap: int = DEFAULT_ENUMERATION_CAP) -> list[VerificationRecord]:
-    """All checks applicable to a single group (scan reused when supplied)."""
-    rep = scan_report or extremal_scan(G, cap=cap, threads=threads)
+    """All checks applicable to a single group."""
+    rep = extremal_scan(G, cap=cap, threads=threads)
     records = []
     records.extend(_check_extremals(G, rep))
     records.extend(_check_expectations(G, rep))

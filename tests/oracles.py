@@ -113,3 +113,13 @@ def raw_constrained_cycle_count(factors, g, A):
         if all(succ[a] == raw_add(factors, a, g) for a in A):
             total += 1
     return total
+
+
+def raw_first_hamiltonian_cycle(factors, S):
+    """The first cycle of raw_cycles whose sums all lie in S, or None."""
+    S = set(S)
+    for verts in raw_cycles(factors):
+        n = len(verts)
+        if all(raw_add(factors, verts[i], verts[(i + 1) % n]) in S for i in range(n)):
+            return verts
+    return None

@@ -16,7 +16,8 @@ from hamlabels import (
     minimum_connection_size,
     sum_labels,
 )
-from hamlabels.search import _hamiltonian_backtrack, _lowest_bit
+from hamlabels.search import DEFAULT_DP_LIMIT, _hamiltonian_backtrack, _lowest_bit
+from oracles import raw_first_hamiltonian_cycle
 
 
 # -- graph construction ------------------------------------------------------------
@@ -58,6 +59,19 @@ def test_build_cayley_symmetry_invariant():
 def test_build_cayley_rejects_foreign_elements():
     with pytest.raises(ValueError):
         build_cayley(group(4), [(4,)])
+
+
+@pytest.mark.parametrize("call", [
+    build_cayley,
+    lambda G, S: is_connected_cayley(G, S, "structural"),
+    lambda G, S: is_connected_cayley(G, S, "bfs"),
+    is_hamiltonian_cayley,
+    classify_small_connection_set,
+], ids=["build", "structural", "bfs", "hamiltonian", "pair-rule"])
+@pytest.mark.parametrize("foreign", [(6,), (1, 0), (-1,), (1.5,)])
+def test_every_cayley_entry_rejects_a_non_element(call, foreign):
+    with pytest.raises(ValueError, match="not an element"):
+        call(group(6), [(1,), foreign])
 
 
 # -- connectivity --------------------------------------------------------------------
@@ -125,14 +139,40 @@ def test_hamiltonian_triangle_family_not_hamiltonian():
         assert not ok, n
 
 
+def _reversed_after_zero(verts):
+    return verts[:1] + verts[:0:-1]
+
+
 def test_hamiltonian_dp_and_backtracking_agree():
     for G in [group(6), group(8), group(2, 4), group(3, 3)]:
         els = G.elements()
         sets = [S for size in (2, 3) for S in itertools.combinations(els, size)]
         for S in sets:
-            dp_ok, _ = is_hamiltonian_cayley(G, S)
-            bt_ok, _ = is_hamiltonian_cayley(G, S, dp_limit=0)
+            dp_ok, dp_cycle = is_hamiltonian_cayley(G, S)
+            bt_ok, bt_cycle = is_hamiltonian_cayley(G, S, dp_limit=0)
             assert dp_ok == bt_ok, (G, S)
+            if dp_ok:
+                assert dp_cycle.vertices == _reversed_after_zero(bt_cycle.vertices), (G, S)
+
+
+def test_hamiltonian_witness_is_the_first_cycle_of_the_oracle():
+    # below the gate the least cycle comes back reversed after 0, above it as is
+    for G in abelian_groups_in_range(3, 8):
+        els = G.elements()
+        for size in (0, 1, 2, 3):
+            for S in itertools.combinations(els, size):
+                want = raw_first_hamiltonian_cycle(G.invariant_factors, S)
+                for dp_limit, expect in ((DEFAULT_DP_LIMIT, _reversed_after_zero),
+                                         (0, lambda c: c)):
+                    ok, cycle = is_hamiltonian_cayley(G, S, dp_limit=dp_limit)
+                    assert ok == (want is not None), (G, S, dp_limit)
+                    if ok:
+                        assert cycle.vertices == expect(want), (G, S, dp_limit)
+
+
+def test_hamiltonian_gate_above_the_default_is_refused():
+    with pytest.raises(ValueError, match="states"):
+        is_hamiltonian_cayley(group(4), [(1,), (3,)], dp_limit=DEFAULT_DP_LIMIT + 1)
 
 
 def test_hamiltonian_backtracking_budget_raises():
@@ -214,8 +254,38 @@ def test_minimum_connection_odd_bounds():
             assert size == 3
 
 
+# the first witness of each size search: the least canonical set, and its
+# least cycle walked the other way round from 0
+MIN_CONNECTION_WITNESSES = {
+    (15,): (((0,), (1,), (2,)),
+            ((0,), (2,), (13,), (4,), (11,), (6,), (9,), (8,), (7,), (10,), (5,), (12,),
+             (3,), (14,), (1,))),
+    (16,): (((1,), (3,)),
+            ((0,), (3,), (14,), (5,), (12,), (7,), (10,), (9,), (8,), (11,), (6,), (13,),
+             (4,), (15,), (2,), (1,))),
+    (2, 2, 4): (((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+                ((0, 0, 0), (1, 0, 0), (1, 0, 1), (1, 1, 3), (1, 1, 2), (1, 0, 2),
+                 (1, 0, 3), (1, 1, 1), (1, 1, 0), (0, 1, 0), (0, 1, 1), (0, 0, 3),
+                 (0, 0, 2), (0, 1, 2), (0, 1, 3), (0, 0, 1))),
+    (2, 2, 2, 2): (((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)),
+                   ((0, 0, 0, 0), (1, 0, 0, 0), (1, 0, 1, 0), (1, 1, 1, 0), (1, 1, 0, 0),
+                    (1, 1, 0, 1), (1, 0, 0, 1), (1, 0, 1, 1), (1, 1, 1, 1), (0, 1, 1, 1),
+                    (0, 1, 0, 1), (0, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 0), (0, 0, 1, 1),
+                    (0, 0, 0, 1))),
+}
+
+
+@pytest.mark.parametrize("factors", list(MIN_CONNECTION_WITNESSES))
+def test_minimum_connection_witnesses_are_pinned(factors):
+    want_set, want_cycle = MIN_CONNECTION_WITNESSES[factors]
+    res = minimum_connection_size(group(*factors))
+    assert res.status == "exact" and res.size == len(want_set)
+    assert res.witness_set == want_set
+    assert res.witness_cycle.vertices == want_cycle
+
+
 def test_minimum_connection_budget_interval():
-    res = minimum_connection_size(group(3, 3), budget=2, dp_limit=0)
+    res = minimum_connection_size(group(3, 9), budget=2)
     assert res.status == "interval"
     assert res.size is None
     assert (res.lower, res.upper) == (3, 5)
@@ -289,3 +359,6 @@ def test_incremental_availability_cut_matches_the_full_cut():
         for budget in (None, 5, 50):
             assert _search_outcome(_hamiltonian_backtrack, n, adj, budget) == \
                 _search_outcome(_full_cut_backtrack, n, adj, budget), (n, adj, budget)
+        # remembering dead states never changes the cycle found
+        assert _hamiltonian_backtrack(n, adj, None, memo=True) == \
+            _full_cut_backtrack(n, adj, None), (n, adj)
