@@ -62,8 +62,9 @@ REPORT_SCHEMA = 1
 # Significant digits of the decimals in expect reports.
 DIGITS = 12
 
-# Ceiling on --cap: order 13 scans 12! cycles in about 11 minutes at 0.72 M
-# cycles/s (one thread, 2 vCPU); order 14 would take about 2.4 hours.
+# Ceiling on --cap: order 13 scans 12! cycles in about 3 minutes at the 2.7 M
+# cycles/s measured on Z11 (one thread, 2 vCPU); order 14 would walk 13! cycles,
+# about 40 minutes.
 MAX_CAP = 13
 
 __all__ = ["RunConfig", "run", "main", "EXIT_PASS", "EXIT_FAIL", "EXIT_USAGE", "EXIT_INCONCLUSIVE"]

@@ -129,8 +129,10 @@ class GroupSpec:
         return (0,) * self.rank
 
     def contains(self, a: Element) -> bool:
+        """Whether ``a`` is a tuple of reduced integer residues (no bools)."""
         return len(a) == self.rank and all(
-            0 <= x < m for x, m in zip(a, self.invariant_factors)
+            isinstance(x, int) and not isinstance(x, bool) and 0 <= x < m
+            for x, m in zip(a, self.invariant_factors)
         )
 
     def _check(self, a: Element) -> None:

@@ -19,6 +19,7 @@ import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -58,7 +59,8 @@ DEFAULT_ENUMERATION_CAP = 12
 # gate is_hamiltonian_cayley accepts, so the memo stays small.
 DEFAULT_DP_LIMIT = 16
 
-_CHUNK_ROWS = 200_000
+# free vertices permuted by one cached table in each block of a scan shard
+_BLOCK = 8
 
 FOUND = "found"
 NONEXISTENT = "nonexistent"
@@ -148,29 +150,55 @@ class ExtremalReport:
     )
 
 
+@lru_cache(maxsize=None)
+def _lex_permutations(m: int) -> np.ndarray:
+    """Every permutation of range(m) as a read-only int8 array, one per row,
+    in lexicographic order: for each first element i in turn, the
+    (m-1)-table with entries >= i shifted up by one."""
+    if m == 0:
+        table = np.zeros((1, 0), dtype=np.int8)
+    else:
+        sub = _lex_permutations(m - 1)
+        table = np.empty((m * len(sub), m), dtype=np.int8)
+        for i, block in enumerate(np.split(table, m)):
+            block[:, 0] = i
+            block[:, 1:] = sub + (sub >= i)
+    table.flags.writeable = False
+    return table
+
+
 def _scan_shard(n: int, second: int, addt: np.ndarray,
                 subt: np.ndarray) -> tuple[dict, int, int, int]:
     """The best (count, cycle) of each extreme, the diff and sum totals and
-    the number of cycles, over the cycles whose second vertex is ``second``."""
+    the number of cycles, over the cycles whose second vertex is ``second``.
+
+    The cycles are built in lexicographic order, one block per prefix of
+    all but the last ``_BLOCK`` free vertices: the prefix, then the
+    remaining vertices permuted by the cached lexicographic table.
+    """
     remaining = [k for k in range(1, n) if k != second]
+    m = min(len(remaining), _BLOCK)
+    table = _lex_permutations(m)
     best = {"dmin": (n + 1, ()), "dmax": (-1, ()), "smin": (n + 1, ()), "smax": (-1, ())}
     diff_total = sum_total = rows = 0
-    perm_iter = itertools.permutations(remaining)
-    while True:
-        chunk = list(itertools.islice(perm_iter, _CHUNK_ROWS))
-        if not chunk:
-            break
-        k = len(chunk)
-        verts = np.empty((k, n), dtype=np.int16)
-        verts[:, 0] = 0
-        verts[:, 1] = second
-        verts[:, 2:] = np.array(chunk, dtype=np.int16)
-        nxt = np.roll(verts, -1, axis=1)
-        dcounts = _distinct_per_row(subt[verts, nxt])
-        scounts = _distinct_per_row(addt[verts, nxt])
+    # int16 holds every flat edge index v * n + w while n * n <= 2**15
+    dtype = np.int16 if n * n <= 1 << 15 else np.int64
+    verts = np.empty((len(table), n), dtype=dtype)
+    verts[:, 0] = 0
+    verts[:, 1] = second
+    for prefix in itertools.permutations(remaining, len(remaining) - m):
+        rest = np.array([k for k in remaining if k not in prefix], dtype=dtype)
+        verts[:, 2:n - m] = prefix
+        verts[:, n - m:] = rest[table]
+        # flat index of each edge (v, next v) into the n x n label tables;
+        # the last edge returns to vertex 0
+        edges = verts * n
+        edges[:, :-1] += verts[:, 1:]
+        dcounts = _distinct_per_row(subt.take(edges))
+        scounts = _distinct_per_row(addt.take(edges))
         diff_total += int(dcounts.sum())
         sum_total += int(scounts.sum())
-        rows += k
+        rows += len(verts)
         for key, counts, lower_is_better in (
             ("dmin", dcounts, True),
             ("dmax", dcounts, False),
@@ -178,9 +206,9 @@ def _scan_shard(n: int, second: int, addt: np.ndarray,
             ("smax", scounts, False),
         ):
             cur = best[key][0]
-            val = int(counts.min() if lower_is_better else counts.max())
+            r = int(np.argmin(counts) if lower_is_better else np.argmax(counts))
+            val = int(counts[r])
             if (val < cur) if lower_is_better else (val > cur):
-                r = int(np.argmin(counts) if lower_is_better else np.argmax(counts))
                 best[key] = (val, tuple(int(x) for x in verts[r]))
     return best, diff_total, sum_total, rows
 
@@ -189,10 +217,14 @@ def extremal_scan(G: GroupSpec, *, cap: int = DEFAULT_ENUMERATION_CAP,
                   threads: int = 1) -> ExtremalReport:
     """Scan all (|G|-1)! cycles for exact extremal and mean label counts.
 
-    The space is sharded by the second vertex; shards are vectorized and
-    may be evaluated by a thread pool, but the merge runs in fixed shard
-    order so the report (witnesses included) never depends on the thread
-    count.
+    The space is sharded by the second vertex.  A shard walks its cycles
+    in lexicographic order in numpy blocks: each block fixes one prefix of
+    the free vertices and permutes the last ``_BLOCK`` of them (all of
+    them up to order 10) by one cached lexicographic permutation table,
+    so no Python tuple is built per cycle.  Shards may be evaluated by a
+    thread pool (numpy releases the GIL), but the merge runs in fixed
+    shard order, so the report (witnesses included: the first cycle
+    reaching each extreme) never depends on the thread count.
     """
     n = G.order
     if n < 2:

@@ -52,15 +52,26 @@ def raw_diff_labels(factors, verts, cyclic=True):
 
 
 def raw_scan(factors):
-    """Exhaustive extremal and mean distinct-label statistics."""
+    """Exhaustive extremal and mean distinct-label statistics.
+
+    ``witnesses`` holds, for each extreme, the first cycle of raw_cycles
+    that attains it (only a strict improvement replaces a witness).
+    """
     dmin = smin = 10**9
     dmax = smax = -1
     dtot = stot = count = 0
+    wit = {}
     for verts in raw_cycles(factors):
         nd = len(set(raw_diff_labels(factors, verts)))
         ns = len(set(raw_sum_labels(factors, verts)))
-        dmin, dmax = min(dmin, nd), max(dmax, nd)
-        smin, smax = min(smin, ns), max(smax, ns)
+        if nd < dmin:
+            dmin, wit["min_diffs"] = nd, verts
+        if nd > dmax:
+            dmax, wit["max_diffs"] = nd, verts
+        if ns < smin:
+            smin, wit["min_sums"] = ns, verts
+        if ns > smax:
+            smax, wit["max_sums"] = ns, verts
         dtot += nd
         stot += ns
         count += 1
@@ -69,6 +80,7 @@ def raw_scan(factors):
         "mean_diffs": Fraction(dtot, count),
         "mean_sums": Fraction(stot, count),
         "count": count,
+        "witnesses": wit,
     }
 
 

@@ -1,10 +1,13 @@
 """Cycle enumeration, extremal scans, and rainbow witness searches."""
 
+import itertools
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 
+from hamlabels import search
 from hamlabels import (
     abelian_groups_in_range,
     canonical_cycle_key,
@@ -105,6 +108,32 @@ def test_scan_matches_bruteforce_oracle():
         assert rep.mean_distinct_diffs == want["mean_diffs"]
         assert rep.mean_distinct_sums == want["mean_sums"]
         assert rep.cycle_count == want["count"]
+
+
+def test_scan_witnesses_are_the_first_cycles_of_the_oracle():
+    for G in abelian_groups_in_range(3, 8):
+        rep = extremal_scan(G)
+        want = raw_scan(G.invariant_factors)["witnesses"]
+        got = {k: t.vertices for k, t in rep.witnesses.items()}
+        assert got == want, G
+
+
+@pytest.mark.parametrize("block", [2, 3])
+def test_scan_spanning_many_blocks_matches_one_block(monkeypatch, block):
+    groups = abelian_groups_in_range(5, 9)
+    want = [extremal_scan(G).to_json_dict() for G in groups]
+    monkeypatch.setattr(search, "_BLOCK", block)
+    for threads in (1, 2):
+        got = [extremal_scan(G, threads=threads).to_json_dict() for G in groups]
+        assert got == want, (block, threads)
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_lex_permutation_table(m):
+    table = search._lex_permutations(m)
+    assert table.dtype == np.int8
+    assert np.array_equal(table, np.array(list(itertools.permutations(range(m)))))
+    assert not table.flags.writeable
 
 
 def test_scan_witnesses_recheck():

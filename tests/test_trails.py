@@ -43,6 +43,16 @@ def test_trail_rejects_foreign_vertices():
         cyc(group(2, 2), (0,), (1,))
 
 
+def test_trail_rejects_non_integer_residues():
+    # in range but not an integer residue: 2.5 and the bool True (== 1)
+    with pytest.raises(ValueError):
+        cyc(group(4), (0,), (1,), (2,), (2.5,))
+    with pytest.raises(ValueError):
+        cyc(group(4), (0,), (True,), (2,), (3,))
+    with pytest.raises(ValueError):
+        cyc(group(2, 2), (0, 0), (0, 1), (1, 0), (1.0, 1))
+
+
 def test_label_sets_need_two_vertices():
     t = Trail(group(5), ((0,),), cyclic=False)
     with pytest.raises(ValueError):
