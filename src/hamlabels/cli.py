@@ -189,13 +189,13 @@ def _cmd_construct(cfg: RunConfig) -> tuple[dict, int]:
 
 def _cmd_scan(cfg: RunConfig) -> tuple[dict, int]:
     _check_cap(cfg.cap)
-    reports = []
-    for G in _resolve_groups(cfg):
-        try:
-            rep = extremal_scan(G, cap=cfg.cap, threads=cfg.threads)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        reports.append(rep.to_json_dict())
+    groups = _resolve_groups(cfg)
+    # refuse before the first scan, so no scan runs only to be thrown away
+    for G in groups:
+        if not 2 <= G.order <= cfg.cap:
+            raise UsageError(f"scan needs 2 <= |G| <= --cap {cfg.cap}; {G} has order {G.order}")
+    reports = [extremal_scan(G, cap=cfg.cap, threads=cfg.threads).to_json_dict()
+               for G in groups]
     return {"command": "scan", "reports": reports}, EXIT_PASS
 
 

@@ -28,6 +28,7 @@ import numpy as np
 from .groups import (
     Element,
     GroupSpec,
+    _cycle_edges,
     _distinct_per_row,
     _divisors,
     _element_set,
@@ -247,7 +248,9 @@ def monte_carlo_estimate(G: GroupSpec, mode: str, trials: int, seed: int) -> McE
         raise ValueError("need at least one trial")
     if mode not in ("sum", "diff"):
         raise ValueError(f"mode must be 'sum' or 'diff', got {mode!r}")
-    table = G.indexed.add if mode == "sum" else G.indexed.diff
+    # read by indexing the flat table, not by take: take copies the whole
+    # int16 edge index to intp first, which raises a shard's peak memory
+    flat = (G.indexed.add if mode == "sum" else G.indexed.diff).reshape(-1)
     total = 0
     total_sq = 0
     done = 0
@@ -263,7 +266,7 @@ def monte_carlo_estimate(G: GroupSpec, mode: str, trials: int, seed: int) -> McE
         verts = np.concatenate(
             [np.zeros((k, 1), dtype=np.int16), perms], axis=1
         )
-        counts = _distinct_per_row(table[verts, np.roll(verts, -1, axis=1)])
+        counts = _distinct_per_row(flat[_cycle_edges(verts, n)])
         total += int(counts.sum())
         total_sq += int((counts.astype(np.int64) ** 2).sum())
         done += k

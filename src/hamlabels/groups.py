@@ -136,8 +136,8 @@ class GroupSpec:
         )
 
     def _check(self, a: Element) -> None:
-        if len(a) != self.rank:
-            raise ValueError(f"element {a} has wrong length for {self}")
+        if not self.contains(a):
+            raise ValueError(f"{a} is not an element of {self}")
 
     def add(self, a: Element, b: Element) -> Element:
         self._check(a)
@@ -296,6 +296,17 @@ def _element_set(G: GroupSpec, items) -> frozenset[Element]:
         if a not in index:
             raise ValueError(f"{a} is not an element of {G}")
     return out
+
+
+def _cycle_edges(verts: np.ndarray, n: int) -> np.ndarray:
+    """The flat index v * n + w of every edge v -> w of each row of vertex
+    indices, read as a cycle: the last edge returns to the row's first
+    vertex.  The result indexes an n x n label table read flat."""
+    # int16 holds every flat index while n * n <= 2**15
+    edges = np.multiply(verts, n, dtype=np.int16 if n * n <= 1 << 15 else np.int64)
+    edges[:, :-1] += verts[:, 1:]
+    edges[:, -1] += verts[:, 0]
+    return edges
 
 
 def _distinct_per_row(labels: np.ndarray) -> np.ndarray:

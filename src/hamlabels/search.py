@@ -1,9 +1,11 @@
 """Exhaustive and pruned combinatorial search.
 
-Covers full Hamiltonian-cycle enumeration with extremal statistics,
-backtracking witness searches for rainbow trails, addition Cayley graphs
-with connectivity and Hamiltonicity tests, and the exact minimum size of
-a connection set giving a Hamiltonian addition Cayley graph.
+Covers full Hamiltonian-cycle enumeration with exact extremal and mean
+statistics (the cycles are walked in lexicographic numpy blocks, which
+may run on threads and are merged in block order), backtracking witness
+searches for rainbow trails, addition Cayley graphs with connectivity and
+Hamiltonicity tests, and the exact minimum size of a connection set
+giving a Hamiltonian addition Cayley graph.
 Hamiltonicity has one backtracking search: up to ``DEFAULT_DP_LIMIT``
 vertices it is exact and unbudgeted and remembers dead states, above it
 it is budgeted.
@@ -25,7 +27,8 @@ from math import factorial
 import numpy as np
 
 from .expectation import format_rational
-from .groups import Element, GroupSpec, _distinct_per_row, _element_set, span
+from .groups import (Element, GroupSpec, _cycle_edges, _distinct_per_row, _element_set,
+                     span)
 from .trails import Trail, sum_labels, trail_to_json_dict
 
 __all__ = [
@@ -59,7 +62,7 @@ DEFAULT_ENUMERATION_CAP = 12
 # gate is_hamiltonian_cayley accepts, so the memo stays small.
 DEFAULT_DP_LIMIT = 16
 
-# free vertices permuted by one cached table in each block of a scan shard
+# free vertices permuted by one cached table in each block of a scan
 _BLOCK = 8
 
 FOUND = "found"
@@ -86,28 +89,20 @@ class SearchResult:
 # cycle enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_cycles(G: GroupSpec, *, cap: int = DEFAULT_ENUMERATION_CAP,
-                     second: Element | None = None):
+def enumerate_cycles(G: GroupSpec, *, cap: int = DEFAULT_ENUMERATION_CAP):
     """Yield every directed Hamiltonian cycle exactly once, anchored at 0.
 
-    Cycles are emitted in lexicographic order of the remaining vertex
-    permutation; with ``second`` fixed, only the cycles whose second
-    vertex matches are produced, which partitions the space into |G|-1
-    independent shards for parallel workers.
+    Cycles are emitted as Trails in lexicographic order of the nonzero
+    vertices, the order ``extremal_scan`` walks them in.
     """
     n = G.order
     if n < 2:
         raise ValueError("cycle enumeration needs |G| >= 2")
     if n > cap:
         raise ValueError(f"order {n} exceeds enumeration cap {cap}")
-    els = G.elements()
-    head = els[:1]
-    if second is not None:
-        if second not in els[1:]:
-            raise ValueError(f"{second} is not a nonzero element of {G}")
-        head += (second,)
-    for perm in itertools.permutations(e for e in els if e not in head):
-        yield Trail(G, head + perm, cyclic=True)
+    zero, *rest = G.elements()
+    for perm in itertools.permutations(rest):
+        yield Trail(G, (zero, *perm), cyclic=True)
 
 
 @dataclass
@@ -167,64 +162,51 @@ def _lex_permutations(m: int) -> np.ndarray:
     return table
 
 
-def _scan_shard(n: int, second: int, addt: np.ndarray,
-                subt: np.ndarray) -> tuple[dict, int, int, int]:
-    """The best (count, cycle) of each extreme, the diff and sum totals and
-    the number of cycles, over the cycles whose second vertex is ``second``.
+# (witness name, block counts: 0 diffs or 1 sums, lower is better)
+_EXTREMES = (
+    ("min_diffs", 0, True),
+    ("max_diffs", 0, False),
+    ("min_sums", 1, True),
+    ("max_sums", 1, False),
+)
 
-    The cycles are built in lexicographic order, one block per prefix of
-    all but the last ``_BLOCK`` free vertices: the prefix, then the
-    remaining vertices permuted by the cached lexicographic table.
+
+def _scan_block(n: int, head: tuple[int, ...], addt: np.ndarray,
+                subt: np.ndarray) -> tuple[dict, list[int], int]:
+    """Scan the cycles 0, *head, then the other vertices in every order.
+
+    The tail comes from the cached lexicographic table, so the block's
+    rows are in lexicographic order.  Returns the first (count, cycle)
+    reaching each extreme of ``_EXTREMES``, the diff and sum count totals
+    and the number of cycles.
     """
-    remaining = [k for k in range(1, n) if k != second]
-    m = min(len(remaining), _BLOCK)
-    table = _lex_permutations(m)
-    best = {"dmin": (n + 1, ()), "dmax": (-1, ()), "smin": (n + 1, ()), "smax": (-1, ())}
-    diff_total = sum_total = rows = 0
-    # int16 holds every flat edge index v * n + w while n * n <= 2**15
-    dtype = np.int16 if n * n <= 1 << 15 else np.int64
-    verts = np.empty((len(table), n), dtype=dtype)
-    verts[:, 0] = 0
-    verts[:, 1] = second
-    for prefix in itertools.permutations(remaining, len(remaining) - m):
-        rest = np.array([k for k in remaining if k not in prefix], dtype=dtype)
-        verts[:, 2:n - m] = prefix
-        verts[:, n - m:] = rest[table]
-        # flat index of each edge (v, next v) into the n x n label tables;
-        # the last edge returns to vertex 0
-        edges = verts * n
-        edges[:, :-1] += verts[:, 1:]
-        dcounts = _distinct_per_row(subt.take(edges))
-        scounts = _distinct_per_row(addt.take(edges))
-        diff_total += int(dcounts.sum())
-        sum_total += int(scounts.sum())
-        rows += len(verts)
-        for key, counts, lower_is_better in (
-            ("dmin", dcounts, True),
-            ("dmax", dcounts, False),
-            ("smin", scounts, True),
-            ("smax", scounts, False),
-        ):
-            cur = best[key][0]
-            r = int(np.argmin(counts) if lower_is_better else np.argmax(counts))
-            val = int(counts[r])
-            if (val < cur) if lower_is_better else (val > cur):
-                best[key] = (val, tuple(int(x) for x in verts[r]))
-    return best, diff_total, sum_total, rows
+    rest = np.array([k for k in range(1, n) if k not in head], dtype=np.int16)
+    table = _lex_permutations(len(rest))
+    verts = np.zeros((len(table), n), dtype=np.int16)
+    verts[:, 1:n - len(rest)] = head
+    verts[:, n - len(rest):] = rest[table]
+    edges = _cycle_edges(verts, n)
+    counts = (_distinct_per_row(subt.take(edges)), _distinct_per_row(addt.take(edges)))
+    best = {}
+    for name, row, lower in _EXTREMES:
+        c = counts[row]
+        r = int(np.argmin(c) if lower else np.argmax(c))
+        best[name] = (int(c[r]), tuple(verts[r].tolist()))
+    return best, [int(c.sum()) for c in counts], len(verts)
 
 
 def extremal_scan(G: GroupSpec, *, cap: int = DEFAULT_ENUMERATION_CAP,
                   threads: int = 1) -> ExtremalReport:
     """Scan all (|G|-1)! cycles for exact extremal and mean label counts.
 
-    The space is sharded by the second vertex.  A shard walks its cycles
-    in lexicographic order in numpy blocks: each block fixes one prefix of
-    the free vertices and permutes the last ``_BLOCK`` of them (all of
-    them up to order 10) by one cached lexicographic permutation table,
-    so no Python tuple is built per cycle.  Shards may be evaluated by a
-    thread pool (numpy releases the GIL), but the merge runs in fixed
-    shard order, so the report (witnesses included: the first cycle
-    reaching each extreme) never depends on the thread count.
+    The cycles are walked in lexicographic order in numpy blocks.  A
+    block fixes a head, the vertices after 0 but for the last ``_BLOCK``
+    (all but the last at orders up to 10), and permutes the rest by one
+    cached lexicographic table, so no Python tuple is built per cycle.
+    Blocks may be evaluated by a thread pool (numpy releases the GIL), but
+    they are merged in block order, so the report (witnesses included:
+    the first cycle reaching each extreme) never depends on the thread
+    count.
     """
     n = G.order
     if n < 2:
@@ -232,52 +214,42 @@ def extremal_scan(G: GroupSpec, *, cap: int = DEFAULT_ENUMERATION_CAP,
     if n > cap:
         raise ValueError(f"order {n} exceeds enumeration cap {cap}")
     gi = G.indexed
-    addt, subt = gi.add, gi.diff
-    seconds = list(range(1, n))
+    heads = itertools.permutations(range(1, n), n - 1 - min(n - 2, _BLOCK))
+
+    def scan(head: tuple[int, ...]):
+        return _scan_block(n, head, gi.add, gi.diff)
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            shard_stats = list(pool.map(
-                lambda s: _scan_shard(n, s, addt, subt), seconds))
+            blocks = list(pool.map(scan, heads))
     else:
-        shard_stats = [_scan_shard(n, s, addt, subt) for s in seconds]
+        blocks = map(scan, heads)
 
-    best: dict[str, tuple[int, tuple[int, ...]]] = {
-        "dmin": (n + 1, ()), "dmax": (-1, ()), "smin": (n + 1, ()), "smax": (-1, ()),
-    }
-    diff_total = sum_total = rows = 0
-    # fixed order merge: lowest second vertex wins ties
-    for shard_best, shard_diffs, shard_sums, shard_rows in shard_stats:
-        for key, lower in (("dmin", True), ("dmax", False),
-                           ("smin", True), ("smax", False)):
-            val, wit = shard_best[key]
-            cur = best[key][0]
-            if (val < cur) if lower else (val > cur):
-                best[key] = (val, wit)
-        diff_total += shard_diffs
-        sum_total += shard_sums
-        rows += shard_rows
+    best = {name: (n + 1, ()) if lower else (-1, ()) for name, _, lower in _EXTREMES}
+    totals = [0, 0]
+    rows = 0
+    # in block order, so ties go to the lexicographically first cycle
+    for block_best, block_totals, block_rows in blocks:
+        for name, _, lower in _EXTREMES:
+            val = block_best[name][0]
+            if (val < best[name][0]) if lower else (val > best[name][0]):
+                best[name] = block_best[name]
+        totals = [t + b for t, b in zip(totals, block_totals)]
+        rows += block_rows
     assert rows == factorial(n - 1)
 
     els = gi.els
-
-    def as_trail(idx_seq: tuple[int, ...]) -> Trail:
-        return Trail(G, tuple(els[i] for i in idx_seq), cyclic=True)
-
     return ExtremalReport(
         group=G,
-        min_distinct_diffs=best["dmin"][0],
-        max_distinct_diffs=best["dmax"][0],
-        min_distinct_sums=best["smin"][0],
-        max_distinct_sums=best["smax"][0],
+        min_distinct_diffs=best["min_diffs"][0],
+        max_distinct_diffs=best["max_diffs"][0],
+        min_distinct_sums=best["min_sums"][0],
+        max_distinct_sums=best["max_sums"][0],
         cycle_count=rows,
-        mean_distinct_diffs=Fraction(diff_total, rows),
-        mean_distinct_sums=Fraction(sum_total, rows),
-        witnesses={
-            "min_diffs": as_trail(best["dmin"][1]),
-            "max_diffs": as_trail(best["dmax"][1]),
-            "min_sums": as_trail(best["smin"][1]),
-            "max_sums": as_trail(best["smax"][1]),
-        },
+        mean_distinct_diffs=Fraction(totals[0], rows),
+        mean_distinct_sums=Fraction(totals[1], rows),
+        witnesses={name: Trail(G, tuple(els[i] for i in cycle), cyclic=True)
+                   for name, (_, cycle) in best.items()},
     )
 
 
@@ -409,8 +381,10 @@ def _is_connected_structural(G: GroupSpec, S: frozenset[Element]) -> bool:
     """The structural connectivity test on an already validated S."""
     if not S:
         return G.order == 1
+    gi = G.indexed
     s0 = min(S)
-    H = span(G, [G.sub(s, s0) for s in S])
+    minus_s0 = gi.shift(gi.neg[gi.index[s0]])  # index of els[x] - s0 for every x
+    H = span(G, [gi.els[minus_s0[gi.index[s]]] for s in S])
     if len(H) == G.order:
         return True
     return 2 * len(H) == G.order and s0 not in H

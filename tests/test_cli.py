@@ -109,6 +109,17 @@ def test_scan_cap_violation_is_usage_error():
     assert code == EXIT_USAGE
 
 
+def test_scan_refuses_a_group_over_the_cap_before_any_scan(monkeypatch):
+    import hamlabels.cli as cli
+
+    calls = []
+    real = cli.extremal_scan
+    monkeypatch.setattr(cli, "extremal_scan",
+                        lambda G, **kw: calls.append(str(G)) or real(G, **kw))
+    code, out = run_cli("scan", "--group", "9", "--group", "10", "--group", "16")
+    assert (code, out, calls) == (EXIT_USAGE, "", [])
+
+
 # -- expect ------------------------------------------------------------------------------
 
 def test_expect_exact_reports_both_modes():

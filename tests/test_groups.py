@@ -103,6 +103,15 @@ def test_arithmetic_rejects_wrong_length():
         group(2, 2).add((0,), (1, 1))
 
 
+@pytest.mark.parametrize("bad", [(2.5,), (7,), (True,)])
+def test_arithmetic_rejects_non_elements(bad):
+    G = group(4)
+    for op in (lambda: G.add(bad, (1,)), lambda: G.sub((1,), bad), lambda: G.neg(bad),
+               lambda: G.element_index(bad), lambda: G.element_order(bad)):
+        with pytest.raises(ValueError):
+            op()
+
+
 def test_group_laws_exhaustive_small_orders():
     for G in abelian_groups_in_range(2, 16):
         els = G.elements()

@@ -1,8 +1,11 @@
 """The integer-index group core: vectors and tables against tuple arithmetic."""
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamlabels import abelian_groups_in_range, build_cayley, group, is_connected_cayley
+from hamlabels.groups import _cycle_edges
 from hamlabels.search import _cayley_neighbours
 
 from oracles import raw_add, raw_elements
@@ -73,6 +76,16 @@ def test_structural_connectivity_builds_no_table_on_large_groups():
     assert not is_connected_cayley(G, [(2,), (4,)])  # S inside the even residues
     built = vars(G.indexed)
     assert "add" not in built and "diff" not in built
+
+
+@pytest.mark.parametrize("n", [5, 181, 182, 400])
+def test_cycle_edges_index_each_edge_and_the_closing_one(n):
+    rng = np.random.default_rng(n)
+    verts = np.stack([rng.permutation(n) for _ in range(4)]).astype(np.int16)
+    edges = _cycle_edges(verts, n)
+    want = verts.astype(np.int64) * n + np.roll(verts, -1, axis=1)
+    assert np.array_equal(edges, want)
+    assert (edges.dtype == np.int16) == (n * n <= 2**15)
 
 
 def test_index_tables_are_compact():
