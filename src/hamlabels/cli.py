@@ -6,9 +6,11 @@ range ("--orders 3..10", expanding to every abelian group of each order).
 Reports are byte-deterministic for a fixed configuration: the thread
 count only changes wall time, exact rationals are printed as "p/q", and
 any decimal shown approximates a rational printed next to it.
+scan and verify refuse, before any work, an order above
+``search.MAX_SCAN_ORDER`` (13), whose scan would walk 13! cycles or more.
 
 Exit codes: 0 all pass, 1 some check failed, 2 usage error, 3 a search
-budget left a result inconclusive.
+budget left an smin result inconclusive.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import factorial
 
 from . import cache as cache_mod
 from .constructions import BUILDERS, ConstructionError
@@ -40,8 +41,8 @@ from .groups import (
     parse_group,
 )
 from .search import (
-    DEFAULT_ENUMERATION_CAP,
     ExtremalReport,
+    _check_scan_order,
     extremal_scan,
     minimum_connection_size,
 )
@@ -62,11 +63,6 @@ REPORT_SCHEMA = 1
 # Significant digits of the decimals in expect reports.
 DIGITS = 12
 
-# Ceiling on --cap: order 13 scans 12! cycles in about 3 minutes at the 2.7 M
-# cycles/s measured on Z11 (one thread, 2 vCPU); order 14 would walk 13! cycles,
-# about 40 minutes.
-MAX_CAP = 13
-
 __all__ = ["RunConfig", "run", "main", "EXIT_PASS", "EXIT_FAIL", "EXIT_USAGE", "EXIT_INCONCLUSIVE"]
 
 
@@ -82,7 +78,6 @@ class RunConfig:
     fmt: str = "json"
     cache_path: str | None = None
     mc_trials: int | None = None
-    cap: int = DEFAULT_ENUMERATION_CAP
 
     def cache_payload(self) -> dict:
         from . import __version__  # read per call, not frozen at import
@@ -114,12 +109,15 @@ def _parse_orders(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _check_cap(cap: int) -> None:
-    if cap > MAX_CAP:
-        raise UsageError(
-            f"--cap {cap} admits orders up to {cap}, whose scans walk "
-            f"{cap - 1}! = {factorial(cap - 1)} cycles; the ceiling is {MAX_CAP}"
-        )
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value < 1:
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}") from None
+    return value
 
 
 def _resolve_groups(cfg: RunConfig) -> list[GroupSpec]:
@@ -188,14 +186,14 @@ def _cmd_construct(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def _cmd_scan(cfg: RunConfig) -> tuple[dict, int]:
-    _check_cap(cfg.cap)
     groups = _resolve_groups(cfg)
     # refuse before the first scan, so no scan runs only to be thrown away
     for G in groups:
-        if not 2 <= G.order <= cfg.cap:
-            raise UsageError(f"scan needs 2 <= |G| <= --cap {cfg.cap}; {G} has order {G.order}")
-    reports = [extremal_scan(G, cap=cfg.cap, threads=cfg.threads).to_json_dict()
-               for G in groups]
+        try:
+            _check_scan_order(G.order)
+        except ValueError as exc:
+            raise UsageError(f"scan {G}: {exc}") from None
+    reports = [extremal_scan(G, threads=cfg.threads).to_json_dict() for G in groups]
     return {"command": "scan", "reports": reports}, EXIT_PASS
 
 
@@ -254,22 +252,16 @@ def _cmd_smin(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def _cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
-    _check_cap(cfg.cap)
     lo, hi = cfg.orders if cfg.orders else (3, 10)
     try:
-        records = verify_orders(lo, hi, budget=cfg.budget,
-                                threads=cfg.threads, cap=cfg.cap)
+        records = verify_orders(lo, hi, threads=cfg.threads)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    # no verify check runs under a budget; the key stays for report readers
     summary = {"pass": 0, "fail": 0, "inconclusive": 0}
     for r in records:
         summary[r.verdict] += 1
-    if summary["fail"]:
-        code = EXIT_FAIL
-    elif summary["inconclusive"]:
-        code = EXIT_INCONCLUSIVE
-    else:
-        code = EXIT_PASS
+    code = EXIT_FAIL if summary["fail"] else EXIT_PASS
     return {
         "command": "verify",
         "orders": [lo, hi],
@@ -405,15 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     flag("info construct scan expect smin verify", "--orders", type=_parse_orders,
          help="order range A..B expanding to all abelian groups "
               "(verify: default 3..10)")
-    flag("smin verify", "--budget", type=int, default=None,
+    flag("smin", "--budget", type=int, default=None,
          help="search budget in nodes (reproducible, not wall time)")
-    flag("scan verify", "--threads", type=int, default=1,
+    flag("scan verify", "--threads", type=_positive_int, default=1,
          help="worker threads (wall time only, never output)")
-    flag("scan verify", "--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-         help=f"enumeration cap on |G| for full scans (at most {MAX_CAP})")
     flag("expect", "--seed", type=int, default=0,
          help="seed for Monte Carlo sampling")
-    flag("expect", "--mc-trials", dest="mc_trials", type=int, default=None,
+    flag("expect", "--mc-trials", dest="mc_trials", type=_positive_int, default=None,
          help="add a Monte Carlo estimate with this many trials")
     flag("expect", "--exact", action="store_true",
          help="exact values (always computed; flag kept for scripts)")

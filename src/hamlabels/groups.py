@@ -289,13 +289,17 @@ class GroupIndex:
 
 
 def _element_set(G: GroupSpec, items) -> frozenset[Element]:
-    """Outside input as a set of element tuples; ValueError on a non-element."""
-    out = frozenset(tuple(a) for a in items)
+    """Outside input as a set of element tuples; ValueError on any item
+    ``G.contains`` refuses.  (True,), (1.0,) and (np.int64(1),) pass the
+    index lookup, as they equal (1,), so unless every coordinate is a
+    plain int each item also goes through ``contains``."""
     index = G.indexed.index
+    out = list(map(tuple, items))
+    plain = set(map(type, itertools.chain.from_iterable(out))) <= {int}
     for a in out:
-        if a not in index:
+        if a not in index or not (plain or G.contains(a)):
             raise ValueError(f"{a} is not an element of {G}")
-    return out
+    return frozenset(out)
 
 
 def _cycle_edges(verts: np.ndarray, n: int) -> np.ndarray:

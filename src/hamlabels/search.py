@@ -32,7 +32,7 @@ from .groups import (Element, GroupSpec, _cycle_edges, _distinct_per_row, _eleme
 from .trails import Trail, sum_labels, trail_to_json_dict
 
 __all__ = [
-    "DEFAULT_ENUMERATION_CAP",
+    "MAX_SCAN_ORDER",
     "DEFAULT_DP_LIMIT",
     "SearchBudgetExceeded",
     "SearchResult",
@@ -54,7 +54,10 @@ __all__ = [
     "minimum_connection_size",
 ]
 
-DEFAULT_ENUMERATION_CAP = 12
+# The largest order a cycle scan or enumeration starts on: order 13 walks
+# 12! cycles, about 3 minutes at the 2.7 M cycles/s measured on Z11 (one
+# thread, 2 vCPU); order 14 would walk 13!, about 40 minutes.
+MAX_SCAN_ORDER = 13
 
 # Up to this many vertices the Hamiltonicity search runs without a budget
 # and remembers dead (visited, vertex) states, at most 2^(n-1)*n of them;
@@ -89,17 +92,24 @@ class SearchResult:
 # cycle enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_cycles(G: GroupSpec, *, cap: int = DEFAULT_ENUMERATION_CAP):
+def _check_scan_order(n: int) -> None:
+    """Refuse an order no cycle scan or enumeration may start on."""
+    if n < 2:
+        raise ValueError(f"a cycle scan needs order >= 2, got {n}")
+    if n > MAX_SCAN_ORDER:
+        raise ValueError(
+            f"order {n} would walk {n - 1}! = {factorial(n - 1)} cycles; "
+            f"the largest order scanned is {MAX_SCAN_ORDER}")
+
+
+def enumerate_cycles(G: GroupSpec):
     """Yield every directed Hamiltonian cycle exactly once, anchored at 0.
 
     Cycles are emitted as Trails in lexicographic order of the nonzero
-    vertices, the order ``extremal_scan`` walks them in.
+    vertices, the order ``extremal_scan`` walks them in.  The order is
+    checked before the first cycle is built.
     """
-    n = G.order
-    if n < 2:
-        raise ValueError("cycle enumeration needs |G| >= 2")
-    if n > cap:
-        raise ValueError(f"order {n} exceeds enumeration cap {cap}")
+    _check_scan_order(G.order)
     zero, *rest = G.elements()
     for perm in itertools.permutations(rest):
         yield Trail(G, (zero, *perm), cyclic=True)
@@ -195,35 +205,30 @@ def _scan_block(n: int, head: tuple[int, ...], addt: np.ndarray,
     return best, [int(c.sum()) for c in counts], len(verts)
 
 
-def extremal_scan(G: GroupSpec, *, cap: int = DEFAULT_ENUMERATION_CAP,
-                  threads: int = 1) -> ExtremalReport:
+def extremal_scan(G: GroupSpec, *, threads: int = 1) -> ExtremalReport:
     """Scan all (|G|-1)! cycles for exact extremal and mean label counts.
 
     The cycles are walked in lexicographic order in numpy blocks.  A
     block fixes a head, the vertices after 0 but for the last ``_BLOCK``
     (all but the last at orders up to 10), and permutes the rest by one
     cached lexicographic table, so no Python tuple is built per cycle.
-    Blocks may be evaluated by a thread pool (numpy releases the GIL), but
-    they are merged in block order, so the report (witnesses included:
-    the first cycle reaching each extreme) never depends on the thread
-    count.
+    Blocks are evaluated by a pool of ``threads`` threads (numpy releases
+    the GIL), but they are merged in block order, so the report
+    (witnesses included: the first cycle reaching each extreme) never
+    depends on the thread count.
     """
     n = G.order
-    if n < 2:
-        raise ValueError("extremal scan needs |G| >= 2")
-    if n > cap:
-        raise ValueError(f"order {n} exceeds enumeration cap {cap}")
+    _check_scan_order(n)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     gi = G.indexed
     heads = itertools.permutations(range(1, n), n - 1 - min(n - 2, _BLOCK))
 
     def scan(head: tuple[int, ...]):
         return _scan_block(n, head, gi.add, gi.diff)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(scan, heads))
-    else:
-        blocks = map(scan, heads)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        blocks = list(pool.map(scan, heads))
 
     best = {name: (n + 1, ()) if lower else (-1, ()) for name, _, lower in _EXTREMES}
     totals = [0, 0]

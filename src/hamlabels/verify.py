@@ -1,8 +1,10 @@
 """Executable checks of every structural claim the library is built around.
 
 Each check compares a predicted value or bound against a measured one and
-yields a VerificationRecord; a budget that runs out is reported as
-"inconclusive", never silently converted into a pass or fail.
+yields a VerificationRecord with a pass or fail verdict.  No check runs
+under a node budget: every order verified is at most ``MAX_SCAN_ORDER``,
+where the Hamiltonicity search is exact and unbudgeted, so no verdict is
+inconclusive.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from .expectation import (
 )
 from .groups import GroupSpec, abelian_groups_in_range
 from .search import (
-    DEFAULT_ENUMERATION_CAP,
     ExtremalReport,
-    SearchBudgetExceeded,
+    _check_scan_order,
     classify_small_connection_set,
     enumerate_cycles,
     extremal_scan,
@@ -34,11 +35,10 @@ from .search import (
     minimum_connection_size,
 )
 
-__all__ = ["VerificationRecord", "verify_group", "verify_orders", "PASS", "FAIL", "INCONCLUSIVE"]
+__all__ = ["VerificationRecord", "verify_group", "verify_orders", "PASS", "FAIL"]
 
 PASS = "pass"
 FAIL = "fail"
-INCONCLUSIVE = "inconclusive"
 
 _CHAIN_CHECK_MAX_ORDER = 7
 _PAIR_CHECK_MAX_ORDER = 12
@@ -127,16 +127,10 @@ def _check_expectations(G: GroupSpec, rep: ExtremalReport) -> list[VerificationR
     return out
 
 
-def _check_min_connection(G: GroupSpec, budget: int | None) -> list[VerificationRecord]:
+def _check_min_connection(G: GroupSpec) -> list[VerificationRecord]:
     n, r = G.order, G.rank
-    res = minimum_connection_size(G, budget=budget)
+    size = minimum_connection_size(G).size
     out = []
-    if res.status == "interval":
-        out.append(VerificationRecord(
-            "min-connection-size", G, "exact value",
-            f"interval [{res.lower}..{res.upper}] (budget)", INCONCLUSIVE))
-        return out
-    size = res.size
     if n % 2 == 0:
         want = r if G.invariant_factors[0] == 2 else r + 1
         out.append(_rec("min-connection-size", G, str(want), str(size), size == want))
@@ -243,18 +237,13 @@ def _check_constructions(G: GroupSpec) -> VerificationRecord:
                 f"verified: {' '.join(ran)}", True)
 
 
-def verify_group(G: GroupSpec, *, budget: int | None = None, threads: int = 1,
-                 cap: int = DEFAULT_ENUMERATION_CAP) -> list[VerificationRecord]:
+def verify_group(G: GroupSpec, *, threads: int = 1) -> list[VerificationRecord]:
     """All checks applicable to a single group."""
-    rep = extremal_scan(G, cap=cap, threads=threads)
+    rep = extremal_scan(G, threads=threads)
     records = []
     records.extend(_check_extremals(G, rep))
     records.extend(_check_expectations(G, rep))
-    try:
-        records.extend(_check_min_connection(G, budget))
-    except SearchBudgetExceeded as exc:
-        records.append(VerificationRecord("min-connection-size", G,
-                                          "exact value", str(exc), INCONCLUSIVE))
+    records.extend(_check_min_connection(G))
     records.append(_check_constructions(G))
     if G.order <= _CHAIN_CHECK_MAX_ORDER:
         records.append(_check_forced_steps(G))
@@ -264,15 +253,12 @@ def verify_group(G: GroupSpec, *, budget: int | None = None, threads: int = 1,
     return records
 
 
-def verify_orders(lo: int, hi: int, *, budget: int | None = None,
-                  threads: int = 1,
-                  cap: int = DEFAULT_ENUMERATION_CAP) -> list[VerificationRecord]:
+def verify_orders(lo: int, hi: int, *, threads: int = 1) -> list[VerificationRecord]:
     """Run the full battery over every abelian group with lo <= |G| <= hi."""
     if lo < 3:
         raise ValueError("verification starts at order 3")
-    if hi > cap:
-        raise ValueError(f"order {hi} exceeds enumeration cap {cap}")
+    _check_scan_order(hi)
     records = []
     for G in abelian_groups_in_range(lo, hi):
-        records.extend(verify_group(G, budget=budget, threads=threads, cap=cap))
+        records.extend(verify_group(G, threads=threads))
     return records

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from hamlabels import (
@@ -68,8 +69,11 @@ def test_build_cayley_rejects_foreign_elements():
     is_hamiltonian_cayley,
     classify_small_connection_set,
 ], ids=["build", "structural", "bfs", "hamiltonian", "pair-rule"])
-@pytest.mark.parametrize("foreign", [(6,), (1, 0), (-1,), (1.5,)])
+@pytest.mark.parametrize("foreign", [(6,), (1, 0), (-1,), (1.5,),
+                                     (True,), (1.0,), (np.int64(1),)])
 def test_every_cayley_entry_rejects_a_non_element(call, foreign):
+    # the last three equal (1,): refused although the set would keep only (1,)
+    assert not group(6).contains(foreign)
     with pytest.raises(ValueError, match="not an element"):
         call(group(6), [(1,), foreign])
 

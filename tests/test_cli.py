@@ -7,6 +7,7 @@ from dataclasses import fields
 
 import pytest
 
+from hamlabels import group
 from hamlabels.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_PASS,
@@ -105,7 +106,7 @@ def test_scan_csv():
 
 
 def test_scan_cap_violation_is_usage_error():
-    code, _ = run_cli("scan", "--group", "16")
+    code, _ = run_cli("scan", "--group", "14")
     assert code == EXIT_USAGE
 
 
@@ -116,7 +117,7 @@ def test_scan_refuses_a_group_over_the_cap_before_any_scan(monkeypatch):
     real = cli.extremal_scan
     monkeypatch.setattr(cli, "extremal_scan",
                         lambda G, **kw: calls.append(str(G)) or real(G, **kw))
-    code, out = run_cli("scan", "--group", "9", "--group", "10", "--group", "16")
+    code, out = run_cli("scan", "--group", "9", "--group", "10", "--group", "14")
     assert (code, out, calls) == (EXIT_USAGE, "", [])
 
 
@@ -223,10 +224,10 @@ def test_csv_unavailable_for_info():
 READS = {
     "info": {"--group", "--orders"},
     "construct": {"--group", "--orders"},
-    "scan": {"--group", "--orders", "--threads", "--cap"},
+    "scan": {"--group", "--orders", "--threads"},
     "expect": {"--group", "--orders", "--seed", "--mc-trials", "--exact"},
     "smin": {"--group", "--orders", "--budget"},
-    "verify": {"--orders", "--budget", "--threads", "--cap"},
+    "verify": {"--orders", "--threads"},
 }
 
 
@@ -240,7 +241,7 @@ def test_each_subcommand_accepts_only_the_flags_it_reads():
     }
     assert accepted == {name: flags | {"--format", "--cache"}
                         for name, flags in READS.items()}
-    assert sum(map(len, accepted.values())) == 32
+    assert sum(map(len, accepted.values())) == 29
 
 
 # a run each subcommand completes quickly, and a flag it does not read
@@ -255,6 +256,7 @@ IGNORED = [
     (("construct", "min-diff", "--group", "4"), ("--cap", "8")),
     (("scan", "--group", "4"), ("--budget", "5")),
     (("scan", "--group", "4"), ("--seed", "1")),
+    (("scan", "--group", "4"), ("--cap", "8")),
     (("expect", "--group", "4"), ("--budget", "5")),
     (("expect", "--group", "4"), ("--threads", "2")),
     (("expect", "--group", "4"), ("--cap", "8")),
@@ -263,6 +265,8 @@ IGNORED = [
     (("smin", "--group", "4"), ("--cap", "8")),
     (("verify", "--orders", "3..4"), ("--group", "4")),
     (("verify", "--orders", "3..4"), ("--seed", "1")),
+    (("verify", "--orders", "3..4"), ("--cap", "8")),
+    (("verify", "--orders", "3..4"), ("--budget", "1")),
 ]
 
 
@@ -275,16 +279,47 @@ def test_flag_the_subcommand_does_not_read_is_usage_error(argv, flag, capsys):
     assert flag[0] in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [("scan", "--group", "2"), ("verify", "--orders", "3..4")])
-def test_cap_above_the_ceiling_is_usage_error(argv, capsys):
-    code, out = run_cli(*argv, "--cap", "14")
-    assert (code, out) == (EXIT_USAGE, "")
+def _record_scans(monkeypatch):
+    """Replace every scan the CLI can start by a Z5 scan; list what was asked."""
+    import hamlabels.cli as cli
+    import hamlabels.verify as verify
+
+    calls = []
+    real = cli.extremal_scan
+
+    def scan(G, **kw):
+        calls.append(str(G))
+        return real(group(5), **kw)
+
+    monkeypatch.setattr(cli, "extremal_scan", scan)
+    monkeypatch.setattr(verify, "extremal_scan", scan)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [("scan", "--group", "14"), ("verify", "--orders", "3..14")],
+                         ids=["scan", "verify"])
+def test_order_above_the_ceiling_is_usage_error(argv, capsys, monkeypatch):
+    calls = _record_scans(monkeypatch)
+    code, out = run_cli(*argv)
+    assert (code, out, calls) == (EXIT_USAGE, "", [])
     assert "13! = 6227020800 cycles" in capsys.readouterr().err
 
 
-def test_cap_at_the_ceiling_runs():
-    code, _ = run_cli("scan", "--group", "5", "--cap", "13")
-    assert code == EXIT_PASS
+def test_scan_at_the_ceiling_needs_no_opt_in(monkeypatch):
+    calls = _record_scans(monkeypatch)
+    code, _ = run_cli("scan", "--group", "13")
+    assert (code, calls) == (EXIT_PASS, ["Z13"])
+
+
+@pytest.mark.parametrize("argv", [("scan", "--group", "4", "--threads"),
+                                  ("verify", "--orders", "3..4", "--threads"),
+                                  ("expect", "--group", "4", "--mc-trials")],
+                         ids=["scan --threads", "verify --threads", "expect --mc-trials"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_count_below_one_is_usage_error(argv, value, capsys):
+    code, out = run_cli(*argv, value)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "positive integer" in capsys.readouterr().err
 
 
 def test_byte_determinism_and_thread_independence():

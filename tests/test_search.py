@@ -54,12 +54,17 @@ def test_enumerate_cycles_anchored_and_distinct():
 
 
 def test_enumerate_cycles_cap():
+    # refused before the first cycle is built
+    with pytest.raises(ValueError, match=r"13! = 6227020800 cycles"):
+        next(enumerate_cycles(group(14)))
     with pytest.raises(ValueError):
-        list(enumerate_cycles(group(13)))
-    with pytest.raises(ValueError):
-        list(enumerate_cycles(group(5), cap=4))
-    with pytest.raises(ValueError):
-        list(enumerate_cycles(group(1)))
+        next(enumerate_cycles(group(1)))
+
+
+def test_scan_ceiling_is_within_the_exact_hamiltonicity_gate():
+    # so every check verify runs at a scannable order is exact and
+    # unbudgeted, and no verify verdict can be inconclusive
+    assert search.MAX_SCAN_ORDER <= search.DEFAULT_DP_LIMIT
 
 
 # -- extremal scans ----------------------------------------------------------------
@@ -143,8 +148,15 @@ def test_scan_thread_count_never_changes_result():
 
 
 def test_scan_cap():
-    with pytest.raises(ValueError):
-        extremal_scan(group(16))
+    with pytest.raises(ValueError, match=r"13! = 6227020800 cycles"):
+        extremal_scan(group(14))
+    search._check_scan_order(search.MAX_SCAN_ORDER)  # the ceiling itself is admitted
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_scan_refuses_fewer_than_one_thread(threads):
+    with pytest.raises(ValueError, match="threads"):
+        extremal_scan(group(4), threads=threads)
 
 
 def test_max_diff_witness_repeats_exactly_one_label():
