@@ -7,7 +7,9 @@ Reports are byte-deterministic for a fixed configuration: the thread
 count only changes wall time, exact rationals are printed as "p/q", and
 any decimal shown approximates a rational printed next to it.
 scan and verify refuse, before any work, an order above
-``search.MAX_SCAN_ORDER`` (13), whose scan would walk 13! cycles or more.
+``search.MAX_SCAN_ORDER`` (13), whose scan would walk 13! cycles or more;
+construct, expect and smin likewise check every group before the first
+build, sum or search.
 
 Exit codes: 0 all pass, 1 some check failed, 2 usage error, 3 a search
 budget left an smin result inconclusive.
@@ -25,7 +27,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import cache as cache_mod
-from .constructions import BUILDERS, ConstructionError
+from .constructions import BUILDERS, ConstructionError, _require
 from .expectation import (
     _residual,
     expected_distinct_diffs,
@@ -168,12 +170,19 @@ def _cmd_construct(cfg: RunConfig) -> tuple[dict, int]:
         raise UsageError(
             f"unknown builder {cfg.builder!r}; choose from {sorted(BUILDERS)}"
         )
+    groups = _resolve_groups(cfg)
+    # refuse before the first build, so no trail is built only to be thrown away
+    for G in groups:
+        try:
+            _require(cfg.builder, G)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     build = BUILDERS[cfg.builder]
     reports = []
-    for G in _resolve_groups(cfg):
+    for G in groups:
         try:
             t = build(G)
-        except (ValueError, ConstructionError) as exc:
+        except ConstructionError as exc:
             raise UsageError(f"{cfg.builder} on {G}: {exc}") from None
         reports.append({
             "group": str(G),
@@ -198,10 +207,12 @@ def _cmd_scan(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def _cmd_expect(cfg: RunConfig) -> tuple[dict, int]:
-    reports = []
-    for G in _resolve_groups(cfg):
+    groups = _resolve_groups(cfg)
+    for G in groups:
         if G.order < 3:
             raise UsageError(f"expectations need |G| >= 3, got {G}")
+    reports = []
+    for G in groups:
         for mode in ("diff", "sum"):
             exact = (expected_distinct_diffs if mode == "diff"
                      else expected_distinct_sums)(G)
@@ -226,11 +237,12 @@ def _cmd_expect(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def _cmd_smin(cfg: RunConfig) -> tuple[dict, int]:
+    groups = _resolve_groups(cfg)
+    if any(G.order < 2 for G in groups):
+        raise UsageError("minimum connection size needs |G| >= 2")
     reports = []
     code = EXIT_PASS
-    for G in _resolve_groups(cfg):
-        if G.order < 2:
-            raise UsageError("minimum connection size needs |G| >= 2")
+    for G in groups:
         res = minimum_connection_size(G, budget=cfg.budget)
         entry = {
             "group": str(G),
@@ -270,13 +282,14 @@ def _cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     }, code
 
 
+# command -> (function, help line)
 _COMMANDS = {
-    "info": _cmd_info,
-    "construct": _cmd_construct,
-    "scan": _cmd_scan,
-    "expect": _cmd_expect,
-    "smin": _cmd_smin,
-    "verify": _cmd_verify,
+    "info": (_cmd_info, "group structure report"),
+    "construct": (_cmd_construct, "run a named cycle/path builder"),
+    "scan": (_cmd_scan, "exhaustive extremal/mean label statistics"),
+    "expect": (_cmd_expect, "exact expected distinct label counts"),
+    "smin": (_cmd_smin, "minimum Hamiltonian connection-set size"),
+    "verify": (_cmd_verify, "run all claim checks over an order range"),
 }
 
 
@@ -353,7 +366,7 @@ def run(cfg: RunConfig, out=None) -> int:
             out.write(hit["report"])
             return hit["exit_code"]
     try:
-        payload, code = _COMMANDS[cfg.command](cfg)
+        payload, code = _COMMANDS[cfg.command][0](cfg)
         report = _render(payload, cfg.fmt)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -376,14 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {name: sub.add_parser(name, help=text) for name, text in (
-        ("info", "group structure report"),
-        ("construct", "run a named cycle/path builder"),
-        ("scan", "exhaustive extremal/mean label statistics"),
-        ("expect", "exact expected distinct label counts"),
-        ("smin", "minimum Hamiltonian connection-set size"),
-        ("verify", "run all claim checks over an order range"),
-    )}
+    commands = {name: sub.add_parser(name, help=text)
+                for name, (_, text) in _COMMANDS.items()}
     commands["construct"].add_argument("builder", choices=sorted(BUILDERS))
 
     def flag(readers: str, *names, **kwargs):

@@ -1,6 +1,9 @@
 """Deterministic cycle and path builders with verified output contracts.
 
-Every builder checks its own postcondition (label counts, rainbow
+Each builder holds on one class of groups, written down once in
+``APPLIES``: a builder refuses any other group with ValueError, and
+``verify`` and ``construct`` read the same table to decide which builders
+run.  Every builder checks its own postcondition (label counts, rainbow
 property, full cover) before returning and raises ConstructionError
 otherwise, so a bug here cannot leak into downstream reports.
 """
@@ -26,12 +29,36 @@ __all__ = [
     "rainbow_sum_cycle_odd",
     "elementary_abelian8_cycle",
     "zigzag_diff_path",
+    "APPLIES",
     "BUILDERS",
 ]
 
 
 class ConstructionError(RuntimeError):
     """A builder produced output violating its own contract."""
+
+
+_ODD = (lambda G: G.order % 2 == 1 and not G.is_trivial, "odd order >= 3")
+
+# builder name -> (whether it applies to G, what it needs of G)
+APPLIES = {
+    "min-diff": (lambda G: not G.is_trivial, "order >= 2"),
+    "even-smin": (lambda G: G.order % 2 == 0, "even order"),
+    "odd-smin": _ODD,
+    "rs-path": (lambda G: sum(m % 2 == 0 for m in G.invariant_factors) == 1,
+                "exactly one even invariant factor"),
+    "rs-cycle": _ODD,
+    "rd-zigzag": (lambda G: G.is_cyclic and G.order % 2 == 0,
+                  "a cyclic group of even order"),
+    "e8-cycle": (lambda G: G.invariant_factors == (2, 2, 2), "Z2 x Z2 x Z2"),
+}
+
+
+def _require(name: str, G: GroupSpec) -> None:
+    """Raise ValueError unless builder ``name`` applies to G."""
+    applies, needs = APPLIES[name]
+    if not applies(G):
+        raise ValueError(f"{name} needs {needs}, got {G}")
 
 
 def _verified(t: Trail, ok: bool, what: str) -> Trail:
@@ -71,8 +98,7 @@ def _layered_cycle(factors: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def fewest_diffs_cycle(G: GroupSpec) -> Trail:
     """A Hamiltonian cycle whose distinct consecutive differences number rank(G)."""
-    if G.is_trivial:
-        raise ValueError("no Hamiltonian cycle on the trivial group")
+    _require("min-diff", G)
     t = Trail(G, tuple(_layered_cycle(G.invariant_factors)), cyclic=True)
     return _verified(t, diff_labels(t).distinct_count == G.rank, "fewest_diffs_cycle")
 
@@ -87,9 +113,8 @@ def fewest_sums_cycle_even(G: GroupSpec) -> Trail:
     h_i for a fixed s outside H.  Every second sum equals s and the rest
     are s plus a difference of the H-cycle.
     """
+    _require("even-smin", G)
     n = G.order
-    if n % 2 != 0:
-        raise ValueError("group order must be even")
     fs = G.invariant_factors
     r = G.rank
     if n == 2:
@@ -133,8 +158,7 @@ def fewest_sums_cycle_odd(G: GroupSpec) -> Trail:
     q = 2n+1 stitches n+1 alternating double-passes over the inner cycle,
     adding only the two sums h_m + h_1 + 1 and h_m + h_1 + (n+1).
     """
-    if G.order % 2 == 0 or G.is_trivial:
-        raise ValueError("group order must be odd and >= 3")
+    _require("odd-smin", G)
 
     def build(fs: tuple[int, ...]) -> list[tuple[int, ...]]:
         if len(fs) == 1:
@@ -168,8 +192,7 @@ def rainbow_sum_cycle_odd(G: GroupSpec) -> Trail:
     block-internal sums 2h_i + c are separated because doubling is
     injective in odd order.
     """
-    if G.order % 2 == 0 or G.is_trivial:
-        raise ValueError("group order must be odd and >= 3")
+    _require("rs-cycle", G)
 
     def build(fs: tuple[int, ...]) -> list[tuple[int, ...]]:
         if len(fs) == 1:
@@ -191,9 +214,8 @@ def rainbow_sum_path(G: GroupSpec) -> Trail:
     such pass per vertex of a rainbow-sum cycle on H, alternating the two
     pass shapes so the block joins fill in the one missing sum m-1.
     """
-    if G.order < 2:
-        raise ValueError("group order must be >= 2")
-    dec = decompose_even(G)  # raises unless exactly one even factor
+    _require("rs-path", G)
+    dec = decompose_even(G)
     two_m = dec.cyclic_order
     m = two_m // 2
     first = []
@@ -214,8 +236,7 @@ def rainbow_sum_path(G: GroupSpec) -> Trail:
 
 def elementary_abelian8_cycle(G: GroupSpec) -> Trail:
     """The 8-vertex cycle over Z2^3 realizing six distinct sums."""
-    if G.invariant_factors != (2, 2, 2):
-        raise ValueError("group must be Z2 x Z2 x Z2")
+    _require("e8-cycle", G)
     g1, g2, g3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     a = G.add
     verts = (
@@ -232,8 +253,7 @@ def zigzag_diff_path(G: GroupSpec) -> Trail:
     Its n-1 differences 1, n-2, 3, n-4, ... are pairwise distinct; closing
     the path gives a cycle with n-1 distinct differences.
     """
-    if not G.is_cyclic or G.is_trivial or G.order % 2 != 0:
-        raise ValueError("group must be cyclic of even order")
+    _require("rd-zigzag", G)
     n = G.order
     seq = [0]
     for i in range(1, n // 2 + 1):

@@ -10,6 +10,7 @@ is immutable and pure, so values can be shared freely across threads.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -87,7 +88,12 @@ class GroupSpec:
     invariant_factors: tuple[int, ...]
 
     def __post_init__(self):
-        fs = tuple(self.invariant_factors)
+        try:
+            fs = tuple(map(operator.index, self.invariant_factors))
+        except TypeError:
+            raise ValueError(
+                f"invariant factors must be integers, got {self.invariant_factors!r}"
+            ) from None
         object.__setattr__(self, "invariant_factors", fs)
         for m in fs:
             if m < 2:

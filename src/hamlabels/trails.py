@@ -146,8 +146,9 @@ def canonical_cycle_key(t: Trail) -> tuple[Element, ...]:
     if not t.cyclic:
         raise ValueError("canonical key is defined for cyclic trails only")
     verts = t.vertices
-    n = len(verts)
-    return min(verts[i:] + verts[:i] for i in range(n))
+    # vertices are pairwise distinct, so the least rotation starts at the least
+    i = verts.index(min(verts))
+    return verts[i:] + verts[:i]
 
 
 def trail_to_json_dict(t: Trail) -> dict:

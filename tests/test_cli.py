@@ -83,6 +83,18 @@ def test_construct_precondition_is_usage_error():
     assert code == EXIT_USAGE
 
 
+def test_construct_refuses_every_group_before_any_build(monkeypatch, capsys):
+    from hamlabels import constructions
+
+    calls = []
+    real = constructions.BUILDERS["min-diff"]
+    monkeypatch.setitem(constructions.BUILDERS, "min-diff",
+                        lambda G: calls.append(str(G)) or real(G))
+    code, out = run_cli("construct", "min-diff", "--group", "16", "--group", "1")
+    assert (code, out, calls) == (EXIT_USAGE, "", [])
+    assert "min-diff needs order >= 2, got Z1" in capsys.readouterr().err
+
+
 # -- scan ------------------------------------------------------------------------------
 
 def test_scan_json_exact_rationals():
@@ -123,6 +135,17 @@ def test_scan_refuses_a_group_over_the_cap_before_any_scan(monkeypatch):
 
 # -- expect ------------------------------------------------------------------------------
 
+def test_expect_refuses_a_small_group_before_any_work(monkeypatch):
+    import hamlabels.cli as cli
+
+    calls = []
+    real = cli.expected_distinct_diffs
+    monkeypatch.setattr(cli, "expected_distinct_diffs",
+                        lambda G: calls.append(str(G)) or real(G))
+    code, out = run_cli("expect", "--group", "5", "--group", "2")
+    assert (code, out, calls) == (EXIT_USAGE, "", [])
+
+
 def test_expect_exact_reports_both_modes():
     code, text = run_cli("expect", "--group", "4", "--exact")
     assert code == EXIT_PASS
@@ -152,6 +175,17 @@ def test_expect_byte_determinism_including_mc():
 
 
 # -- smin ---------------------------------------------------------------------------------
+
+def test_smin_refuses_a_trivial_group_before_any_search(monkeypatch):
+    import hamlabels.cli as cli
+
+    calls = []
+    real = cli.minimum_connection_size
+    monkeypatch.setattr(cli, "minimum_connection_size",
+                        lambda G, **kw: calls.append(str(G)) or real(G, **kw))
+    code, out = run_cli("smin", "--group", "4", "--group", "1")
+    assert (code, out, calls) == (EXIT_USAGE, "", [])
+
 
 def test_smin_report():
     code, text = run_cli("smin", "--group", "9")

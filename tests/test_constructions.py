@@ -1,9 +1,12 @@
 """Builder outputs: pinned sequences plus contract checks over order sweeps."""
 
+import re
+
 import pytest
 
 from hamlabels import (
     abelian_groups_in_range,
+    constructions,
     diff_labels,
     elementary_abelian8_cycle,
     fewest_diffs_cycle,
@@ -16,6 +19,7 @@ from hamlabels import (
     rainbow_sum_cycle_odd,
     rainbow_sum_path,
     sum_labels,
+    verify,
     zigzag_diff_path,
 )
 
@@ -230,3 +234,31 @@ def test_zigzag_closure_has_max_diffs():
         t = zigzag_diff_path(G)
         closed = Trail(G, t.vertices, cyclic=True)
         assert diff_labels(closed).distinct_count == n - 1, n
+
+
+# -- applicability table ---------------------------------------------------------
+
+def test_applies_names_every_builder():
+    assert list(constructions.APPLIES) == list(constructions.BUILDERS)
+
+
+def test_applies_holds_exactly_when_the_builder_builds():
+    for G in abelian_groups_in_range(1, SWEEP_MAX):
+        for name, build in constructions.BUILDERS.items():
+            applies, needs = constructions.APPLIES[name]
+            if applies(G):
+                assert build(G).group == G, (name, G)
+            else:
+                with pytest.raises(ValueError, match=re.escape(needs)):
+                    build(G)
+
+
+def test_verify_runs_every_builder_the_table_admits(monkeypatch):
+    def broken(G):
+        raise constructions.ConstructionError(f"fake failed self-verification on {G}")
+
+    monkeypatch.setitem(constructions.BUILDERS, "fake", broken)
+    monkeypatch.setitem(constructions.APPLIES, "fake", (lambda G: True, "any group"))
+    [rec] = [r for r in verify.verify_group(group(3)) if r.check == "constructions-verify"]
+    assert rec.verdict == verify.FAIL
+    assert rec.measured == "fake failed self-verification on Z3"

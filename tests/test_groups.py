@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -73,6 +74,18 @@ def test_groupspec_rejects_broken_chain():
         GroupSpec((4, 6))
     with pytest.raises(ValueError):
         GroupSpec((1, 2))
+
+
+@pytest.mark.parametrize("bad", [(4.0,), ("4",), (2.5,), (True,)],
+                         ids=["integral_float", "str", "float", "bool"])
+def test_groupspec_rejects_non_integer_factors(bad):
+    with pytest.raises(ValueError):
+        GroupSpec(bad)
+
+
+def test_groupspec_stores_integer_like_factors_as_int():
+    G = GroupSpec((np.int64(6),))
+    assert G == group(6) and type(G.invariant_factors[0]) is int
 
 
 # -- enumeration and arithmetic ----------------------------------------------

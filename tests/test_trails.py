@@ -10,6 +10,7 @@ from hamlabels import (
     Trail,
     canonical_cycle_key,
     diff_labels,
+    find_rainbow_diff_cycle_nonzero,
     group,
     is_rainbow_diff_cycle,
     is_rainbow_diff_path,
@@ -195,6 +196,34 @@ def test_canonical_key_partitions_representations(n):
     assert all(v == n for v in keys.values())
 
 
+def _least_rotation(t):
+    verts = t.vertices
+    return min(verts[i:] + verts[:i] for i in range(len(verts)))
+
+
+@st.composite
+def subset_cycle(draw):
+    G = draw(st.sampled_from(_SMALL_GROUPS))
+    verts = draw(st.permutations(list(G.elements())))
+    size = draw(st.integers(min_value=1, max_value=G.order))
+    return Trail(G, tuple(verts[:size]), cyclic=True)
+
+
+@settings(max_examples=100)
+@given(subset_cycle())
+def test_canonical_key_is_the_least_rotation(t):
+    assert canonical_cycle_key(t) == _least_rotation(t)
+
+
+@pytest.mark.parametrize("factors", [(5,), (7,), (11,), (3, 3)])
+def test_canonical_key_of_rotated_nonzero_cycles(factors):
+    # cycles on the nonzero elements: the least vertex is not 0
+    t = find_rainbow_diff_cycle_nonzero(group(*factors)).trail
+    for i in range(len(t)):
+        rotated = Trail(t.group, t.vertices[i:] + t.vertices[:i], cyclic=True)
+        assert canonical_cycle_key(rotated) == _least_rotation(t)
+
+
 # -- serialization ----------------------------------------------------------------------
 
 def test_trail_json_roundtrip_rotates_to_canonical():
@@ -206,6 +235,12 @@ def test_trail_json_roundtrip_rotates_to_canonical():
     back = trail_from_json_dict(d)
     assert canonical_cycle_key(back) == canonical_cycle_key(t)
     assert back.group == G
+
+
+def test_trail_from_json_refuses_non_integer_group():
+    d = {"group": [4.0], "kind": "cyclic", "vertices": [[0], [1], [2], [3]]}
+    with pytest.raises(ValueError):
+        trail_from_json_dict(d)
 
 
 def test_open_trail_json_keeps_order():
