@@ -52,18 +52,31 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
+def _integer_factors(factors, what: str) -> tuple[int, ...]:
+    """Each factor as a plain int (through ``operator.index``); ValueError
+    for anything that is not an integer, a bool included."""
+    factors = tuple(factors)
+    if not any(isinstance(f, (bool, np.bool_)) for f in factors):
+        try:
+            return tuple(map(operator.index, factors))
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be integers, got {factors!r}")
+
+
 def invariant_factors_of(factors) -> tuple[int, ...]:
     """Canonicalize an arbitrary multiset of cyclic orders.
 
     Splits every factor into prime powers (elementary divisors) and
     recombines them into the unique chain m_1 | m_2 | ... | m_r.
-    Factors equal to 1 are dropped.
+    Factors equal to 1 are dropped; a factor that is not an integer
+    (4.0, "4", True) is a ValueError.
 
     >>> invariant_factors_of([2, 2, 3])
     (2, 6)
     """
     exps: dict[int, list[int]] = {}
-    for f in factors:
+    for f in _integer_factors(factors, "cyclic factors"):
         if f < 1:
             raise ValueError(f"cyclic factor must be >= 1, got {f}")
         for p, a in _factorize(f).items():
@@ -88,12 +101,7 @@ class GroupSpec:
     invariant_factors: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            fs = tuple(map(operator.index, self.invariant_factors))
-        except TypeError:
-            raise ValueError(
-                f"invariant factors must be integers, got {self.invariant_factors!r}"
-            ) from None
+        fs = _integer_factors(self.invariant_factors, "invariant factors")
         object.__setattr__(self, "invariant_factors", fs)
         for m in fs:
             if m < 2:

@@ -27,8 +27,7 @@ from math import factorial
 import numpy as np
 
 from .expectation import format_rational
-from .groups import (Element, GroupSpec, _cycle_edges, _distinct_per_row, _element_set,
-                     span)
+from .groups import Element, GroupSpec, _element_set, span
 from .trails import Trail, sum_labels, trail_to_json_dict
 
 __all__ = [
@@ -55,8 +54,8 @@ __all__ = [
 ]
 
 # The largest order a cycle scan or enumeration starts on: order 13 walks
-# 12! cycles, about 3 minutes at the 2.7 M cycles/s measured on Z11 (one
-# thread, 2 vCPU); order 14 would walk 13!, about 40 minutes.
+# 12! cycles, about 10 s at the 50 M cycles/s measured on Z13 (one thread,
+# 2 vCPU); order 14 would walk 13!, about 2 minutes.
 MAX_SCAN_ORDER = 13
 
 # Up to this many vertices the Hamiltonicity search runs without a budget
@@ -172,6 +171,48 @@ def _lex_permutations(m: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def _tail_edge_pairs(m: int) -> np.ndarray:
+    """The m + 1 edges of each row of ``_lex_permutations(m)``, read as the
+    path from the head's last vertex (index m) through the tail back to 0
+    (index m), two to an entry: row j of the read-only intp result holds
+    edges 2j and 2j + 1 of every row.  Edge u -> v is e = u * (m + 1) + v,
+    a pair e, f is e * (m + 1)**2 + f, and an odd count repeats the last
+    edge, which an OR absorbs.  int16 holds every pair while m <= 12."""
+    t = _lex_permutations(m)
+    ends = np.full((len(t), 1), m, dtype=np.int16)
+    walk = np.hstack([ends, t, ends])
+    edges = walk[:, :-1] * (m + 1) + walk[:, 1:]
+    if m % 2 == 0:
+        edges = np.hstack([edges, edges[:, -1:]])
+    pairs = (edges[:, 0::2] * (m + 1) ** 2 + edges[:, 1::2]).T.astype(np.intp, order="C")
+    pairs.flags.writeable = False
+    return pairs
+
+
+@lru_cache(maxsize=None)
+def _popcounts(n: int) -> np.ndarray:
+    """The number of set bits of every n-bit mask, as a read-only int8 array."""
+    table = np.zeros(1, dtype=np.int8)
+    for _ in range(n):
+        table = np.concatenate([table, table + 1])
+    table.flags.writeable = False
+    return table
+
+
+# bit of a label mask where the sum labels start; the diff labels take the
+# bits below it, so both fit in a positive int32 while n <= 15
+_SUM_BIT = 16
+
+
+def _label_masks(G: GroupSpec) -> np.ndarray:
+    """The n x n int32 table whose entry for the edge i -> j has bit l set
+    for its diff label l and bit ``_SUM_BIT`` + l for its sum label l."""
+    gi = G.indexed
+    return (np.left_shift(1, gi.diff, dtype=np.int32)
+            | np.left_shift(1 << _SUM_BIT, gi.add, dtype=np.int32))
+
+
 # (witness name, block counts: 0 diffs or 1 sums, lower is better)
 _EXTREMES = (
     ("min_diffs", 0, True),
@@ -181,8 +222,27 @@ _EXTREMES = (
 )
 
 
-def _scan_block(n: int, head: tuple[int, ...], addt: np.ndarray,
-                subt: np.ndarray) -> tuple[dict, list[int], int]:
+def _block_counts(n: int, head: tuple[int, ...],
+                  labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct diff and sum counts of the cycles 0, *head, then the
+    other vertices in each order of ``_lex_permutations``: the set bits of
+    the OR of the edges' ``_label_masks``, the tail's gathered two at a
+    time from the ORs of every two entries of the block's small table."""
+    path = (0, *head)
+    rest = [k for k in range(1, n) if k not in head]
+    tail = labels[np.ix_(rest + [head[-1]], rest + [0])].ravel()
+    pairs = (tail[:, None] | tail).ravel()
+    first, *others = _tail_edge_pairs(len(rest))
+    masks = pairs.take(first)
+    for row in others:
+        masks |= pairs.take(row)
+    masks |= np.bitwise_or.reduce(labels[path[:-1], path[1:]])
+    pop = _popcounts(n)
+    return pop.take(masks & ((1 << _SUM_BIT) - 1)), pop.take(masks >> _SUM_BIT)
+
+
+def _scan_block(n: int, head: tuple[int, ...],
+                labels: np.ndarray) -> tuple[dict, list[int], int]:
     """Scan the cycles 0, *head, then the other vertices in every order.
 
     The tail comes from the cached lexicographic table, so the block's
@@ -190,19 +250,15 @@ def _scan_block(n: int, head: tuple[int, ...], addt: np.ndarray,
     reaching each extreme of ``_EXTREMES``, the diff and sum count totals
     and the number of cycles.
     """
-    rest = np.array([k for k in range(1, n) if k not in head], dtype=np.int16)
+    counts = _block_counts(n, head, labels)
+    rest = [k for k in range(1, n) if k not in head]
     table = _lex_permutations(len(rest))
-    verts = np.zeros((len(table), n), dtype=np.int16)
-    verts[:, 1:n - len(rest)] = head
-    verts[:, n - len(rest):] = rest[table]
-    edges = _cycle_edges(verts, n)
-    counts = (_distinct_per_row(subt.take(edges)), _distinct_per_row(addt.take(edges)))
     best = {}
     for name, row, lower in _EXTREMES:
         c = counts[row]
         r = int(np.argmin(c) if lower else np.argmax(c))
-        best[name] = (int(c[r]), tuple(verts[r].tolist()))
-    return best, [int(c.sum()) for c in counts], len(verts)
+        best[name] = (int(c[r]), (0, *head, *(rest[i] for i in table[r].tolist())))
+    return best, [int(c.sum()) for c in counts], len(table)
 
 
 def extremal_scan(G: GroupSpec, *, threads: int = 1) -> ExtremalReport:
@@ -212,10 +268,12 @@ def extremal_scan(G: GroupSpec, *, threads: int = 1) -> ExtremalReport:
     block fixes a head, the vertices after 0 but for the last ``_BLOCK``
     (all but the last at orders up to 10), and permutes the rest by one
     cached lexicographic table, so no Python tuple is built per cycle.
-    Blocks are evaluated by a pool of ``threads`` threads (numpy releases
-    the GIL), but they are merged in block order, so the report
-    (witnesses included: the first cycle reaching each extreme) never
-    depends on the thread count.
+    Each cycle's distinct labels are counted as the set bits of the OR of
+    its edges' one-bit label masks (``_label_masks``), with no sort.
+    With ``threads`` of 2 or more the blocks are evaluated by a pool of
+    that many threads (numpy releases the GIL), but they are merged in
+    block order, so the report (witnesses included: the first cycle
+    reaching each extreme) never depends on the thread count.
     """
     n = G.order
     _check_scan_order(n)
@@ -223,12 +281,16 @@ def extremal_scan(G: GroupSpec, *, threads: int = 1) -> ExtremalReport:
         raise ValueError(f"threads must be at least 1, got {threads}")
     gi = G.indexed
     heads = itertools.permutations(range(1, n), n - 1 - min(n - 2, _BLOCK))
+    labels = _label_masks(G)
 
     def scan(head: tuple[int, ...]):
-        return _scan_block(n, head, gi.add, gi.diff)
+        return _scan_block(n, head, labels)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        blocks = list(pool.map(scan, heads))
+    if threads == 1:
+        blocks = list(map(scan, heads))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            blocks = list(pool.map(scan, heads))
 
     best = {name: (n + 1, ()) if lower else (-1, ()) for name, _, lower in _EXTREMES}
     totals = [0, 0]

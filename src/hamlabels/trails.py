@@ -162,6 +162,11 @@ def trail_to_json_dict(t: Trail) -> dict:
 
 
 def trail_from_json_dict(d: dict) -> Trail:
+    """The trail ``trail_to_json_dict`` wrote; ValueError on a kind other
+    than "cyclic" or "open"."""
+    kind = d["kind"]
+    if kind not in ("cyclic", "open"):
+        raise ValueError(f'trail kind must be "cyclic" or "open", got {kind!r}')
     G = GroupSpec(tuple(d["group"]))
     verts = tuple(tuple(v) for v in d["vertices"])
-    return Trail(G, verts, cyclic=d["kind"] == "cyclic")
+    return Trail(G, verts, cyclic=kind == "cyclic")

@@ -88,6 +88,14 @@ def test_groupspec_stores_integer_like_factors_as_int():
     assert G == group(6) and type(G.invariant_factors[0]) is int
 
 
+@pytest.mark.parametrize("bad", [4.0, True, "4"], ids=["integral_float", "bool", "str"])
+def test_group_rejects_non_integer_factors(bad):
+    with pytest.raises(ValueError, match="integers"):
+        group(bad)
+    with pytest.raises(ValueError, match="integers"):
+        invariant_factors_of([2, bad])
+
+
 # -- enumeration and arithmetic ----------------------------------------------
 
 def test_elements_lexicographic():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hamlabels import search
+from hamlabels.groups import _cycle_edges, _distinct_per_row
 from hamlabels import (
     abelian_groups_in_range,
     canonical_cycle_key,
@@ -129,6 +130,32 @@ def test_lex_permutation_table(m):
     assert table.dtype == np.int8
     assert np.array_equal(table, np.array(list(itertools.permutations(range(m)))))
     assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("block", [2, 3, 8])
+def test_bitmask_block_counts_match_sorted_rows(block):
+    # the sort-based count on the rows' edge labels shares no code with the
+    # bitmask kernel, and the rows come from itertools, not the cached table
+    for G in abelian_groups_in_range(2, 9):
+        n = G.order
+        gi = G.indexed
+        labels = search._label_masks(G)
+        for head in itertools.permutations(range(1, n), n - 1 - min(n - 2, block)):
+            rest = [k for k in range(1, n) if k not in head]
+            verts = np.array([(0, *head, *p) for p in itertools.permutations(rest)])
+            edges = _cycle_edges(verts, n)
+            got = search._block_counts(n, head, labels)
+            for table, counts in zip((gi.diff, gi.add), got):
+                assert np.array_equal(counts, _distinct_per_row(table.take(edges))), (G, head)
+
+
+@pytest.mark.parametrize("n", range(search.MAX_SCAN_ORDER + 1))
+def test_popcount_table(n):
+    # every scanned order's diff and sum masks fit side by side in int32
+    assert search._SUM_BIT + search.MAX_SCAN_ORDER <= 31
+    table = search._popcounts(n)
+    assert table.dtype == np.int8 and not table.flags.writeable
+    assert table.tolist() == [bin(x).count("1") for x in range(1 << n)]
 
 
 def test_scan_witnesses_recheck():

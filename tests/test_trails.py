@@ -243,6 +243,13 @@ def test_trail_from_json_refuses_non_integer_group():
         trail_from_json_dict(d)
 
 
+@pytest.mark.parametrize("kind", ["cyclc", "Cyclic", "", None])
+def test_trail_from_json_refuses_unknown_kind(kind):
+    d = {"group": [4], "kind": kind, "vertices": [[0], [1], [2], [3]]}
+    with pytest.raises(ValueError, match="kind"):
+        trail_from_json_dict(d)
+
+
 def test_open_trail_json_keeps_order():
     G = group(4)
     t = opn(G, (2,), (0,), (1,))
