@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     flag("info construct scan expect smin verify", "--orders", type=_parse_orders,
          help="order range A..B expanding to all abelian groups "
               "(verify: default 3..10)")
-    flag("smin", "--budget", type=int, default=None,
+    flag("smin", "--budget", type=_positive_int, default=None,
          help="search budget in nodes (reproducible, not wall time)")
     flag("scan verify", "--threads", type=_positive_int, default=1,
          help="worker threads (wall time only, never output)")
@@ -412,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
          help="seed for Monte Carlo sampling")
     flag("expect", "--mc-trials", dest="mc_trials", type=_positive_int, default=None,
          help="add a Monte Carlo estimate with this many trials")
-    flag("expect", "--exact", action="store_true",
-         help="exact values (always computed; flag kept for scripts)")
     every = " ".join(commands)
     flag(every, "--format", dest="fmt", default="json", choices=["json", "csv", "text"])
     flag(every, "--cache", dest="cache_path", default=None,

@@ -21,15 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
 from .groups import (
     Element,
     GroupSpec,
-    _cycle_edges,
-    _distinct_per_row,
     _divisors,
     _element_set,
     span,
@@ -37,10 +35,7 @@ from .groups import (
 
 __all__ = [
     "McEstimate",
-    "diff_free_subset_count",
-    "count_cycles_with_diff",
     "expected_distinct_diffs",
-    "sum_free_subset_count",
     "expected_distinct_sums",
     "asymptotic_residual",
     "monte_carlo_estimate",
@@ -60,23 +55,6 @@ _MC_SHARD = 4096
 def format_rational(q: Fraction) -> str:
     """An exact rational as "p/q", denominator always shown (e.g. "1/1")."""
     return f"{q.numerator}/{q.denominator}"
-
-
-def diff_free_subset_count(n: int, d: int, j: int) -> int:
-    """Number of j-subsets of an n-element group containing no coset of
-    the order-d cyclic subgroup generated by an order-d element.
-
-    Inclusion-exclusion over which of the n/d cosets are fully included:
-    sum over i of (-1)^i * C(n/d, i) * C(n - i*d, j - i*d).
-    """
-    if d < 2 or n % d != 0:
-        raise ValueError(f"d must be a divisor >= 2 of n, got d={d}, n={n}")
-    if not 1 <= j <= n - 1:
-        raise ValueError(f"j must lie in [1, n-1], got {j}")
-    return sum(
-        (-1) ** i * comb(n // d, i) * comb(n - i * d, j - i * d)
-        for i in range(0, j // d + 1)
-    )
 
 
 def _off_by_one_free_cycles(n: int) -> list[int]:
@@ -108,17 +86,6 @@ def _cycles_containing_diff(n: int, d: int, a: list[int]) -> int:
     return total
 
 
-def count_cycles_with_diff(G: GroupSpec, g: Element) -> int:
-    """Number of Hamiltonian cycles whose difference set contains g.
-
-    Depends on g only through its order; 0 <= result <= (|G|-1)!.
-    """
-    if g == G.zero():
-        raise ValueError("the zero element never occurs as a difference")
-    n = G.order
-    return _cycles_containing_diff(n, G.element_order(g), _off_by_one_free_cycles(n))
-
-
 def expected_distinct_diffs(G: GroupSpec) -> Fraction:
     """Exact expectation of |D(C)| for C uniform over all (|G|-1)! cycles.
 
@@ -139,28 +106,6 @@ def expected_distinct_diffs(G: GroupSpec) -> Fraction:
         if k_d:
             total += k_d * _cycles_containing_diff(n, d, a)
     return Fraction(total, factorial(n - 1))
-
-
-def sum_free_subset_count(n: int, n0: int, j: int, g_in_doubled: bool) -> int:
-    """Number of j-subsets A with no a' + a'' equal to the target label g
-    (repetition allowed), for |G| = n with n0 two-torsion elements.
-
-    When g is outside the doubled subgroup 2G the group splits into n/2
-    complementary pairs and A may take at most one element per pair; when
-    g = 2c has n0 such roots c, those roots are forbidden outright and the
-    rest pair up, leaving (n - n0)/2 usable pairs.
-    """
-    if j < 0:
-        raise ValueError("subset size must be >= 0")
-    if not g_in_doubled:
-        if n % 2 != 0:
-            raise ValueError("labels outside 2G only exist for even order")
-        pairs = n // 2
-    else:
-        pairs = (n - n0) // 2
-    if j > pairs:
-        return 0
-    return comb(pairs, j) * 2**j
 
 
 def _cycles_containing_sum(n: int, pairs: int) -> int:
@@ -221,6 +166,23 @@ def _residual(exact: Fraction, n: int, digits: int = 12) -> Decimal:
         val = Decimal(exact.numerator) / Decimal(exact.denominator) - (1 - e_inv) * n
         ctx.prec = digits
         return +val
+
+
+def _cycle_edges(verts: np.ndarray, n: int) -> np.ndarray:
+    """The flat index v * n + w of every edge v -> w of each row of vertex
+    indices, read as a cycle: the last edge returns to the row's first
+    vertex.  The result indexes an n x n label table read flat."""
+    # int16 holds every flat index while n * n <= 2**15
+    edges = np.multiply(verts, n, dtype=np.int16 if n * n <= 1 << 15 else np.int64)
+    edges[:, :-1] += verts[:, 1:]
+    edges[:, -1] += verts[:, 0]
+    return edges
+
+
+def _distinct_per_row(labels: np.ndarray) -> np.ndarray:
+    """The number of distinct values in each row of a label array."""
+    srt = np.sort(labels, axis=1)
+    return (np.diff(srt, axis=1) != 0).sum(axis=1) + 1
 
 
 @dataclass(frozen=True)

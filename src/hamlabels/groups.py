@@ -177,13 +177,6 @@ class GroupSpec:
         """All elements in lexicographic coordinate order."""
         return tuple(itertools.product(*[range(m) for m in self.invariant_factors]))
 
-    def element_at(self, i: int) -> Element:
-        coords = []
-        for m in reversed(self.invariant_factors):
-            coords.append(i % m)
-            i //= m
-        return tuple(reversed(coords))
-
     def element_index(self, a: Element) -> int:
         self._check(a)
         i = 0
@@ -316,23 +309,6 @@ def _element_set(G: GroupSpec, items) -> frozenset[Element]:
     return frozenset(out)
 
 
-def _cycle_edges(verts: np.ndarray, n: int) -> np.ndarray:
-    """The flat index v * n + w of every edge v -> w of each row of vertex
-    indices, read as a cycle: the last edge returns to the row's first
-    vertex.  The result indexes an n x n label table read flat."""
-    # int16 holds every flat index while n * n <= 2**15
-    edges = np.multiply(verts, n, dtype=np.int16 if n * n <= 1 << 15 else np.int64)
-    edges[:, :-1] += verts[:, 1:]
-    edges[:, -1] += verts[:, 0]
-    return edges
-
-
-def _distinct_per_row(labels: np.ndarray) -> np.ndarray:
-    """The number of distinct values in each row of a label array."""
-    srt = np.sort(labels, axis=1)
-    return (np.diff(srt, axis=1) != 0).sum(axis=1) + 1
-
-
 def _divisors(n: int) -> list[int]:
     """The divisors of n in ascending order."""
     small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
@@ -441,28 +417,17 @@ class EvenDecomposition:
 
     Exists exactly when the group has a single even invariant factor; the
     even cyclic part is the 2-primary component of the largest factor and
-    H collects everything of odd order.  ``split``/``merge`` realize the
-    bijection explicitly on coordinates.
+    H collects everything of odd order.  ``merge`` realizes the bijection
+    H + Z_{2m} -> G explicitly on coordinates.
     """
 
     group: GroupSpec
     odd_part: GroupSpec
     cyclic_order: int
 
-    def _odd_residue(self) -> int:
-        return self.group.invariant_factors[-1] // self.cyclic_order
-
-    def split(self, a: Element) -> tuple[Element, int]:
-        self.group._check(a)
-        odd_r = self._odd_residue()
-        head = a[:-1]
-        if odd_r > 1:
-            head = head + (a[-1] % odd_r,)
-        return head, a[-1] % self.cyclic_order
-
     def merge(self, h: Element, c: int) -> Element:
-        odd_r = self._odd_residue()
         mr = self.group.invariant_factors[-1]
+        odd_r = mr // self.cyclic_order
         if odd_r == 1:
             return h + (c % mr,)
         a = h[-1]

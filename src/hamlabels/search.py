@@ -44,8 +44,6 @@ __all__ = [
     "find_rainbow_diff_path",
     "find_rainbow_sum_cycle",
     "find_rainbow_diff_cycle_nonzero",
-    "CayleyGraph",
-    "build_cayley",
     "is_connected_cayley",
     "is_hamiltonian_cayley",
     "classify_small_connection_set",
@@ -410,20 +408,6 @@ def find_rainbow_diff_cycle_nonzero(G: GroupSpec, budget: int | None = None) -> 
 # addition Cayley graphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CayleyGraph:
-    """Graph on G with g' adjacent to g'' iff g' + g'' lies in the connection set.
-
-    Self-loop vertices (2g in S) are tracked separately and never appear
-    in the adjacency lists.
-    """
-
-    group: GroupSpec
-    connection_set: frozenset[Element]
-    adjacency: dict[Element, tuple[Element, ...]]
-    loop_vertices: frozenset[Element]
-
-
 def _cayley_neighbours(G: GroupSpec, S: frozenset[Element]) -> list[list[int]]:
     """nbrs[i]: the indices j != i, ascending, with els[i] + els[j] in S."""
     gi = G.indexed
@@ -432,16 +416,6 @@ def _cayley_neighbours(G: GroupSpec, S: frozenset[Element]) -> list[list[int]]:
     # the index of s - g for every g, one O(n) translation per s
     minus = [gi.shift(gi.index[s])[gi.neg].tolist() for s in S]
     return [sorted(j for j in col if j != i) for i, col in enumerate(zip(*minus))]
-
-
-def build_cayley(G: GroupSpec, S) -> CayleyGraph:
-    S = _element_set(G, S)
-    gi = G.indexed
-    els = gi.els
-    adjacency = {els[i]: tuple(els[j] for j in nbrs)
-                 for i, nbrs in enumerate(_cayley_neighbours(G, S))}
-    loops = frozenset(a for a, d in zip(els, gi.double.tolist()) if els[d] in S)
-    return CayleyGraph(G, S, adjacency, loops)
 
 
 def _is_connected_structural(G: GroupSpec, S: frozenset[Element]) -> bool:

@@ -48,13 +48,6 @@ class Trail:
     def kind(self) -> str:
         return "cyclic" if self.cyclic else "open"
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.vertices) if self.cyclic else len(self.vertices) - 1
-
     def edges(self):
         verts = self.vertices
         for i in range(len(verts) - 1):
@@ -76,17 +69,6 @@ class LabelSet:
     @property
     def distinct_count(self) -> int:
         return len(self.labels)
-
-    @property
-    def total(self) -> int:
-        return sum(self.labels.values())
-
-    def weighted_sum(self, G: GroupSpec) -> Element:
-        """Group sum of all labels counted with multiplicity."""
-        acc = G.zero()
-        for lab, mult in self.labels.items():
-            acc = G.add(acc, G.scalar_mul(mult, lab))
-        return acc
 
 
 def _collect(t: Trail, label_fn) -> LabelSet:

@@ -2,11 +2,14 @@
 
 Everything here works on raw residue tuples with its own modular
 arithmetic, deliberately avoiding the package's group machinery so the
-two sides of each comparison stay independent.
+two sides of each comparison stay independent.  The two subset-count
+formulas at the end are the terms the expectation tests spell their
+inclusion-exclusion double sums from.
 """
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 
 def raw_elements(factors):
@@ -135,3 +138,42 @@ def raw_first_hamiltonian_cycle(factors, S):
         if all(raw_add(factors, verts[i], verts[(i + 1) % n]) in S for i in range(n)):
             return verts
     return None
+
+
+def diff_free_subset_count(n: int, d: int, j: int) -> int:
+    """Number of j-subsets of an n-element group containing no coset of
+    the order-d cyclic subgroup generated by an order-d element.
+
+    Inclusion-exclusion over which of the n/d cosets are fully included:
+    sum over i of (-1)^i * C(n/d, i) * C(n - i*d, j - i*d).
+    """
+    if d < 2 or n % d != 0:
+        raise ValueError(f"d must be a divisor >= 2 of n, got d={d}, n={n}")
+    if not 1 <= j <= n - 1:
+        raise ValueError(f"j must lie in [1, n-1], got {j}")
+    return sum(
+        (-1) ** i * comb(n // d, i) * comb(n - i * d, j - i * d)
+        for i in range(0, j // d + 1)
+    )
+
+
+def sum_free_subset_count(n: int, n0: int, j: int, g_in_doubled: bool) -> int:
+    """Number of j-subsets A with no a' + a'' equal to the target label g
+    (repetition allowed), for |G| = n with n0 two-torsion elements.
+
+    When g is outside the doubled subgroup 2G the group splits into n/2
+    complementary pairs and A may take at most one element per pair; when
+    g = 2c has n0 such roots c, those roots are forbidden outright and the
+    rest pair up, leaving (n - n0)/2 usable pairs.
+    """
+    if j < 0:
+        raise ValueError("subset size must be >= 0")
+    if not g_in_doubled:
+        if n % 2 != 0:
+            raise ValueError("labels outside 2G only exist for even order")
+        pairs = n // 2
+    else:
+        pairs = (n - n0) // 2
+    if j > pairs:
+        return 0
+    return comb(pairs, j) * 2**j

@@ -1,4 +1,4 @@
-"""Addition Cayley graphs: construction, connectivity, Hamiltonicity, minimum sets."""
+"""Addition Cayley graphs: input checks, connectivity, Hamiltonicity, minimum sets."""
 
 import itertools
 import random
@@ -9,7 +9,6 @@ import pytest
 from hamlabels import (
     SearchBudgetExceeded,
     abelian_groups_in_range,
-    build_cayley,
     classify_small_connection_set,
     group,
     is_connected_cayley,
@@ -21,54 +20,12 @@ from hamlabels.search import DEFAULT_DP_LIMIT, _hamiltonian_backtrack, _lowest_b
 from oracles import raw_first_hamiltonian_cycle
 
 
-# -- graph construction ------------------------------------------------------------
-
-def test_build_cayley_four_cycle():
-    g = build_cayley(group(4), [(1,), (3,)])
-    assert g.adjacency[(0,)] == ((1,), (3,))
-    assert g.adjacency[(1,)] == ((0,), (2,))
-    assert g.adjacency[(2,)] == ((1,), (3,))
-    assert g.loop_vertices == frozenset()
-
-
-def test_build_cayley_loops_tracked_separately():
-    g = build_cayley(group(3), [(0,)])
-    assert g.adjacency[(0,)] == ()
-    assert g.adjacency[(1,)] == ((2,),)
-    assert g.loop_vertices == frozenset({(0,)})
-
-
-def test_build_cayley_order_two():
-    g = build_cayley(group(2), [(1,)])
-    assert g.adjacency[(0,)] == ((1,),)
-    assert g.adjacency[(1,)] == ((0,),)
-
-
-def test_build_cayley_symmetry_invariant():
-    rng = random.Random(20240601)
-    for G in [group(8), group(2, 4), group(3, 3)]:
-        els = G.elements()
-        for _ in range(20):
-            S = [e for e in els if rng.random() < 0.4]
-            g = build_cayley(G, S)
-            for v, nbrs in g.adjacency.items():
-                assert v not in nbrs
-                for w in nbrs:
-                    assert v in g.adjacency[w]
-
-
-def test_build_cayley_rejects_foreign_elements():
-    with pytest.raises(ValueError):
-        build_cayley(group(4), [(4,)])
-
-
 @pytest.mark.parametrize("call", [
-    build_cayley,
     lambda G, S: is_connected_cayley(G, S, "structural"),
     lambda G, S: is_connected_cayley(G, S, "bfs"),
     is_hamiltonian_cayley,
     classify_small_connection_set,
-], ids=["build", "structural", "bfs", "hamiltonian", "pair-rule"])
+], ids=["structural", "bfs", "hamiltonian", "pair-rule"])
 @pytest.mark.parametrize("foreign", [(6,), (1, 0), (-1,), (1.5,),
                                      (True,), (1.0,), (np.int64(1),)])
 def test_every_cayley_entry_rejects_a_non_element(call, foreign):

@@ -147,7 +147,7 @@ def test_expect_refuses_a_small_group_before_any_work(monkeypatch):
 
 
 def test_expect_exact_reports_both_modes():
-    code, text = run_cli("expect", "--group", "4", "--exact")
+    code, text = run_cli("expect", "--group", "4")
     assert code == EXIT_PASS
     assert '"7/3"' in text and '"8/3"' in text
     reports = json.loads(text)["reports"]
@@ -259,7 +259,7 @@ READS = {
     "info": {"--group", "--orders"},
     "construct": {"--group", "--orders"},
     "scan": {"--group", "--orders", "--threads"},
-    "expect": {"--group", "--orders", "--seed", "--mc-trials", "--exact"},
+    "expect": {"--group", "--orders", "--seed", "--mc-trials"},
     "smin": {"--group", "--orders", "--budget"},
     "verify": {"--orders", "--threads"},
 }
@@ -275,7 +275,7 @@ def test_each_subcommand_accepts_only_the_flags_it_reads():
     }
     assert accepted == {name: flags | {"--format", "--cache"}
                         for name, flags in READS.items()}
-    assert sum(map(len, accepted.values())) == 29
+    assert sum(map(len, accepted.values())) == 28
 
 
 # a run each subcommand completes quickly, and a flag it does not read
@@ -294,6 +294,7 @@ IGNORED = [
     (("expect", "--group", "4"), ("--budget", "5")),
     (("expect", "--group", "4"), ("--threads", "2")),
     (("expect", "--group", "4"), ("--cap", "8")),
+    (("expect", "--group", "4"), ("--exact",)),
     (("smin", "--group", "4"), ("--threads", "2")),
     (("smin", "--group", "4"), ("--seed", "1")),
     (("smin", "--group", "4"), ("--cap", "8")),
@@ -347,8 +348,10 @@ def test_scan_at_the_ceiling_needs_no_opt_in(monkeypatch):
 
 @pytest.mark.parametrize("argv", [("scan", "--group", "4", "--threads"),
                                   ("verify", "--orders", "3..4", "--threads"),
-                                  ("expect", "--group", "4", "--mc-trials")],
-                         ids=["scan --threads", "verify --threads", "expect --mc-trials"])
+                                  ("expect", "--group", "4", "--mc-trials"),
+                                  ("smin", "--group", "17", "--budget")],
+                         ids=["scan --threads", "verify --threads", "expect --mc-trials",
+                              "smin --budget"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_count_below_one_is_usage_error(argv, value, capsys):
     code, out = run_cli(*argv, value)

@@ -10,13 +10,10 @@ from hamlabels import (
     abelian_groups_in_range,
     asymptotic_residual,
     count_constrained_cycles,
-    count_cycles_with_diff,
-    diff_free_subset_count,
     expected_distinct_diffs,
     expected_distinct_sums,
     group,
     monte_carlo_estimate,
-    sum_free_subset_count,
 )
 from hamlabels.expectation import (
     RESIDUAL_BOUND,
@@ -26,11 +23,14 @@ from hamlabels.expectation import (
 )
 
 from oracles import (
+    diff_free_subset_count,
     raw_constrained_cycle_count,
     raw_cycles_containing_diff,
+    raw_order,
     raw_scan,
     raw_subsets_without_coset,
     raw_subsets_without_sum,
+    sum_free_subset_count,
 )
 
 
@@ -62,35 +62,23 @@ def test_diff_free_subset_count_rejects_bad_divisor():
 # -- cycles containing a fixed difference --------------------------------------------
 
 def test_count_cycles_with_diff_examples():
-    assert count_cycles_with_diff(group(4), (1,)) == 5
-    assert count_cycles_with_diff(group(4), (2,)) == 4
-    assert count_cycles_with_diff(group(3), (1,)) == 1
-
-
-def test_count_cycles_with_diff_rejects_zero():
-    with pytest.raises(ValueError):
-        count_cycles_with_diff(group(4), (0,))
+    # in Z4, (1,) has order 4 and (2,) order 2; in Z3, (1,) has order 3
+    assert _cycles_containing_diff(4, 4, _off_by_one_free_cycles(4)) == 5
+    assert _cycles_containing_diff(4, 2, _off_by_one_free_cycles(4)) == 4
+    assert _cycles_containing_diff(3, 3, _off_by_one_free_cycles(3)) == 1
 
 
 def test_count_cycles_with_diff_matches_enumeration():
+    # the count the expectation uses, by the order of g alone, against
+    # enumeration for every nonzero g
     for G in abelian_groups_in_range(3, 8):
         fs = G.invariant_factors
+        a = _off_by_one_free_cycles(G.order)
         for g in G.elements():
             if g == G.zero():
                 continue
-            assert count_cycles_with_diff(G, g) == \
+            assert _cycles_containing_diff(G.order, raw_order(fs, g), a) == \
                 raw_cycles_containing_diff(fs, g), (G, g)
-
-
-def test_count_depends_only_on_element_order():
-    for G in abelian_groups_in_range(3, 10):
-        by_order = {}
-        for g in G.elements():
-            if g == G.zero():
-                continue
-            d = G.element_order(g)
-            c = count_cycles_with_diff(G, g)
-            assert by_order.setdefault(d, c) == c, (G, g)
 
 
 def _double_sum_cycles_containing_diff(n, d):
@@ -186,7 +174,7 @@ def test_expected_sums_equals_enumeration_mean():
 
 def test_running_terms_match_the_subset_count_sum():
     # reference: the inclusion-exclusion spelled term by term from the
-    # public subset counts, for labels inside 2G and (even order) outside it
+    # oracle subset counts, for labels inside 2G and (even order) outside it
     for G in abelian_groups_in_range(3, 64):
         n, n0 = G.order, G.two_torsion_count()
         cases = [(True, (n - n0) // 2)] + ([(False, n // 2)] if n % 2 == 0 else [])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hamlabels import search
-from hamlabels.groups import _cycle_edges, _distinct_per_row
+from hamlabels.expectation import _cycle_edges, _distinct_per_row
 from hamlabels import (
     abelian_groups_in_range,
     canonical_cycle_key,
@@ -218,7 +218,7 @@ def test_find_diff_cycle_nonzero():
     res = find_rainbow_diff_cycle_nonzero(group(5))
     assert res.status == "found"
     t = res.trail
-    assert len(t) == 4 and (0,) not in t.vertices
+    assert len(t.vertices) == 4 and (0,) not in t.vertices
     assert is_rainbow_diff_cycle(t)
     with pytest.raises(ValueError):
         find_rainbow_diff_cycle_nonzero(group(2))
