@@ -236,8 +236,9 @@ class GroupIndex:
     ``index``, ``residues``, ``neg`` and ``double`` are built up front;
     ``order`` and the n x n ``add`` and ``diff`` tables only on first use,
     the tables as compact numpy arrays.  Code that must scale to large
-    groups works with ``shift`` (one O(n) translation) and never touches
-    the tables.
+    groups works with ``shift`` and never touches the tables: each
+    translation row is built once, for the elements asked for only, and
+    kept.
     """
 
     def __init__(self, G: GroupSpec):
@@ -251,18 +252,26 @@ class GroupIndex:
                                  dtype=np.int64)
         self.neg = self._encode(-self.residues)
         self.double = self._encode(2 * self.residues)
+        self._dtype = np.int16 if self.n <= 1 << 15 else np.int32
+        # shift(a) by a; two threads asking for one a at once build equal rows
+        self._rows: dict[int, memoryview] = {}
 
     def _encode(self, coords: np.ndarray) -> np.ndarray:
         """Indices of the elements with these (unreduced) coordinates."""
         return (coords % self._moduli) @ self._strides
 
-    def shift(self, a: int) -> np.ndarray:
-        """Index of els[a] + els[x] for every x, in O(n)."""
-        return self._encode(self.residues + self.residues[a])
+    def shift(self, a: int) -> memoryview:
+        """Index of els[a] + els[x] for every x, as a read-only row built
+        in O(n) on the first call for ``a`` and returned from then on."""
+        row = self._rows.get(a)
+        if row is None:
+            values = self._encode(self.residues + self.residues[a]).astype(self._dtype)
+            row = self._rows[a] = memoryview(values.tobytes()).cast(values.dtype.char)
+        return row
 
     def closure(self, gens) -> list[int]:
         """Indices of the subgroup generated by ``gens``, in BFS order."""
-        steps = [self.shift(g).tolist() for g in set(gens) if g]
+        steps = [self.shift(g) for g in set(gens) if g]
         seen = bytearray(self.n)
         seen[0] = 1
         members = [0]
@@ -283,10 +292,9 @@ class GroupIndex:
     @cached_property
     def add(self) -> np.ndarray:
         """add[i, j] is the index of els[i] + els[j]."""
-        table = np.empty((self.n, self.n),
-                         dtype=np.int16 if self.n <= 1 << 15 else np.int32)
+        table = np.empty((self.n, self.n), dtype=self._dtype)
         for i in range(self.n):
-            table[i] = self.shift(i)
+            table[i] = self._encode(self.residues + self.residues[i])
         return table
 
     @cached_property

@@ -8,9 +8,13 @@ Hamiltonicity tests, and the exact minimum size of a connection set
 giving a Hamiltonian addition Cayley graph.
 Hamiltonicity has one backtracking search: up to ``DEFAULT_DP_LIMIT``
 vertices it is exact and unbudgeted and remembers dead states, above it
-it is budgeted.
+it is budgeted.  The Cayley graph tests and the minimum search read the
+translation rows ``GroupIndex.shift`` caches, one per element asked for,
+and never build an n x n table; the rainbow searches read their label
+table through one zero-copy row view per vertex.
 
-Budgets are node counts, never wall time, so results are reproducible.
+Budgets are node counts, never wall time, so results are reproducible:
+None or a positive int, anything else is a ValueError before any search.
 A search only ever reports "nonexistent" after exhausting its whole
 space; running out of budget is a distinct outcome.
 """
@@ -76,6 +80,14 @@ class SearchBudgetExceeded(RuntimeError):
     def __init__(self, nodes: int):
         super().__init__(f"search budget exhausted after {nodes} nodes")
         self.nodes = nodes
+
+
+def _check_budget(budget) -> None:
+    """Refuse a node budget other than None or a positive int (a bool is
+    not one), before any search starts."""
+    if budget is not None and (type(budget) is bool or not isinstance(budget, int)
+                               or budget < 1):
+        raise ValueError(f"budget must be None or a positive integer, got {budget!r}")
 
 
 @dataclass
@@ -330,8 +342,10 @@ def _rainbow_backtrack(G: GroupSpec, vertices: list[int], labels: np.ndarray,
     edge a -> b.  The first vertex stays pinned to vertices[0] (a valid
     quotient: by rotation for cycles, by translation for paths on a full
     group), and candidates are tried in ascending element order, so the
-    first witness is deterministic.  The stack is explicit, so the depth
-    is not bounded by the recursion limit.
+    first witness is deterministic.  Each vertex's row of ``labels`` is
+    bound once as a zero-copy memoryview, so a step reads its labels
+    without copying the row.  The stack is explicit, so the depth is not
+    bounded by the recursion limit.
     """
     n = len(vertices)
     first = min(vertices) if cyclic else vertices[0]
@@ -341,7 +355,8 @@ def _rainbow_backtrack(G: GroupSpec, vertices: list[int], labels: np.ndarray,
     on_path[first] = 1
     used = bytearray(G.order)
     resume = [0]  # per depth: the position in rest to try next
-    row = labels[first].tolist()  # labels of the edges leaving path[-1]
+    rows = [memoryview(r) for r in labels]  # zero-copy, bound once per vertex
+    row = rows[first]  # labels of the edges leaving path[-1]
     nodes = 0
     while True:
         if len(path) == n:
@@ -365,14 +380,14 @@ def _rainbow_backtrack(G: GroupSpec, vertices: list[int], labels: np.ndarray,
                 on_path[v] = 1
                 path.append(v)
                 resume.append(0)
-                row = labels[v].tolist()
+                row = rows[v]
                 continue
         if len(path) == 1:
             return SearchResult(NONEXISTENT, None, nodes)
         resume.pop()
         v = path.pop()
         on_path[v] = 0
-        row = labels[path[-1]].tolist()
+        row = rows[path[-1]]
         used[row[v]] = 0
 
 
@@ -382,6 +397,7 @@ def find_rainbow_diff_path(G: GroupSpec, budget: int | None = None) -> SearchRes
     Start vertex is pinned to 0: translating a path leaves its difference
     labels unchanged, so every witness has a representative starting at 0.
     """
+    _check_budget(budget)
     if G.order < 2:
         raise ValueError("need |G| >= 2")
     return _rainbow_backtrack(G, list(range(G.order)), G.indexed.diff, cyclic=False,
@@ -390,6 +406,7 @@ def find_rainbow_diff_path(G: GroupSpec, budget: int | None = None) -> SearchRes
 
 def find_rainbow_sum_cycle(G: GroupSpec, budget: int | None = None) -> SearchResult:
     """Search for a Hamiltonian cycle on G with all sums distinct."""
+    _check_budget(budget)
     if G.order < 2:
         raise ValueError("need |G| >= 2")
     return _rainbow_backtrack(G, list(range(G.order)), G.indexed.add, cyclic=True,
@@ -398,6 +415,7 @@ def find_rainbow_sum_cycle(G: GroupSpec, budget: int | None = None) -> SearchRes
 
 def find_rainbow_diff_cycle_nonzero(G: GroupSpec, budget: int | None = None) -> SearchResult:
     """Search for a cycle on the nonzero elements with all differences distinct."""
+    _check_budget(budget)
     if G.order < 3:
         raise ValueError("need |G| >= 3")
     return _rainbow_backtrack(G, list(range(1, G.order)), G.indexed.diff, cyclic=True,
@@ -413,8 +431,8 @@ def _cayley_neighbours(G: GroupSpec, S: frozenset[Element]) -> list[list[int]]:
     gi = G.indexed
     if not S:
         return [[] for _ in range(gi.n)]
-    # the index of s - g for every g, one O(n) translation per s
-    minus = [gi.shift(gi.index[s])[gi.neg].tolist() for s in S]
+    # the index of s - g for every g, from the cached translation by s
+    minus = [np.asarray(gi.shift(gi.index[s]))[gi.neg].tolist() for s in S]
     return [sorted(j for j in col if j != i) for i, col in enumerate(zip(*minus))]
 
 
@@ -529,6 +547,7 @@ def is_hamiltonian_cayley(G: GroupSpec, S, *, budget: int | None = None,
     than guessing when the budget runs out.  A witness cycle C always
     satisfies S(C) being a subset of the connection set.
     """
+    _check_budget(budget)
     if dp_limit > DEFAULT_DP_LIMIT:
         raise ValueError(
             f"dp_limit {dp_limit} exceeds {DEFAULT_DP_LIMIT}: an unbudgeted search "
@@ -621,19 +640,20 @@ def minimum_connection_size(G: GroupSpec, *,
     Hamiltonicity is orbit-invariant).  Budget exhaustion yields a
     bracketing interval instead of a value.
     """
+    _check_budget(budget)
     n = G.order
     if n < 2:
         raise ValueError("need |G| >= 2")
     lower, upper = _size_bounds(G)
     gi = G.indexed
     els = gi.els
-    # row k: the translate of every element by the k-th element of 2G
-    translates = gi.add[sorted(set(gi.double.tolist()))]
+    # the translate of every element by each nonzero element of 2G
+    translates = [gi.shift(h) for h in set(gi.double.tolist()) if h]
 
     def is_canonical(idx_tuple: tuple[int, ...]) -> bool:
-        # the least translate (h = 0 gives the set itself) must be the set
-        shifted = translates[:, idx_tuple].tolist()
-        return min(sorted(row) for row in shifted) == list(idx_tuple)
+        # no translate may sort below the set itself
+        want = list(idx_tuple)
+        return not any(sorted([row[i] for i in idx_tuple]) < want for row in translates)
 
     for k in range(lower, upper + 1):
         for idx_tuple in itertools.combinations(range(n), k):

@@ -23,7 +23,6 @@ __all__ = [
     "is_rainbow_diff_path",
     "canonical_cycle_key",
     "trail_to_json_dict",
-    "trail_from_json_dict",
 ]
 
 
@@ -141,14 +140,3 @@ def trail_to_json_dict(t: Trail) -> dict:
         "kind": t.kind,
         "vertices": [list(v) for v in verts],
     }
-
-
-def trail_from_json_dict(d: dict) -> Trail:
-    """The trail ``trail_to_json_dict`` wrote; ValueError on a kind other
-    than "cyclic" or "open"."""
-    kind = d["kind"]
-    if kind not in ("cyclic", "open"):
-        raise ValueError(f'trail kind must be "cyclic" or "open", got {kind!r}')
-    G = GroupSpec(tuple(d["group"]))
-    verts = tuple(tuple(v) for v in d["vertices"])
-    return Trail(G, verts, cyclic=kind == "cyclic")

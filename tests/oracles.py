@@ -3,13 +3,17 @@
 Everything here works on raw residue tuples with its own modular
 arithmetic, deliberately avoiding the package's group machinery so the
 two sides of each comparison stay independent.  The two subset-count
-formulas at the end are the terms the expectation tests spell their
-inclusion-exclusion double sums from.
+formulas after the oracles are the terms the expectation tests spell
+their inclusion-exclusion double sums from.  ``trail_from_json_dict``,
+at the end, is the reader of the package's JSON trail form: only the
+tests read a trail back.
 """
 
 import itertools
 from fractions import Fraction
 from math import comb
+
+from hamlabels import GroupSpec, Trail
 
 
 def raw_elements(factors):
@@ -140,6 +144,62 @@ def raw_first_hamiltonian_cycle(factors, S):
     return None
 
 
+class _OutOfBudget(Exception):
+    pass
+
+
+def raw_rainbow_search(factors, kind, budget=None):
+    """(status, nodes, vertices) of the first rainbow ordering in the walk
+    order of the package's rainbow searches, on plain tuples.
+
+    ``kind`` is "diff_path" (every element, open, differences),
+    "sum_cycle" (every element, cyclic, sums) or "diff_cycle_nonzero"
+    (the nonzero elements, cyclic, differences).  The first vertex is the
+    least one; each step tries the other vertices in ascending order and
+    counts one node per vertex placed; with a budget the walk stops as
+    "exhausted" at the node past it.
+    """
+    els = raw_elements(factors)
+    if kind == "diff_cycle_nonzero":
+        els = els[1:]
+    if kind == "sum_cycle":
+        def label(a, b):
+            return raw_add(factors, a, b)
+    else:
+        def label(a, b):
+            return raw_sub(factors, b, a)
+    cyclic = kind != "diff_path"
+    first = els[0]
+    # per vertex: every other vertex, ascending, with the edge's label
+    steps = {a: [(b, label(a, b)) for b in els if b != a] for a in els}
+    path, used = [first], set()
+    nodes = 0
+
+    def extend():
+        nonlocal nodes
+        if len(path) == len(els):
+            return not cyclic or label(path[-1], first) not in used
+        for v, lab in steps[path[-1]]:
+            if v in path or lab in used:
+                continue
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise _OutOfBudget
+            path.append(v)
+            used.add(lab)
+            if extend():
+                return True
+            path.pop()
+            used.remove(lab)
+        return False
+
+    try:
+        found = extend()
+    except _OutOfBudget:
+        return "exhausted", nodes, None
+    return ("found", nodes, tuple(path)) if found else ("nonexistent", nodes, None)
+
+
 def diff_free_subset_count(n: int, d: int, j: int) -> int:
     """Number of j-subsets of an n-element group containing no coset of
     the order-d cyclic subgroup generated by an order-d element.
@@ -177,3 +237,14 @@ def sum_free_subset_count(n: int, n0: int, j: int, g_in_doubled: bool) -> int:
     if j > pairs:
         return 0
     return comb(pairs, j) * 2**j
+
+
+def trail_from_json_dict(d: dict) -> Trail:
+    """The trail ``trail_to_json_dict`` wrote; ValueError on a kind other
+    than "cyclic" or "open"."""
+    kind = d["kind"]
+    if kind not in ("cyclic", "open"):
+        raise ValueError(f'trail kind must be "cyclic" or "open", got {kind!r}')
+    G = GroupSpec(tuple(d["group"]))
+    verts = tuple(tuple(v) for v in d["vertices"])
+    return Trail(G, verts, cyclic=kind == "cyclic")

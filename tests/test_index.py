@@ -68,9 +68,13 @@ def test_cayley_neighbours_match_tuple_arithmetic(G, data):
 
 def test_structural_connectivity_builds_no_table_on_large_groups():
     G = group(100000)
+    gi = G.indexed
     assert is_connected_cayley(G, [(1,), (2,)])
+    assert len(gi._rows) <= 3  # only the translations it read
+    row = gi.shift(1)
+    assert gi.shift(1) is row and row.readonly and row.itemsize == 4
     assert not is_connected_cayley(G, [(2,), (4,)])  # S inside the even residues
-    built = vars(G.indexed)
+    built = vars(gi)
     assert "add" not in built and "diff" not in built
 
 

@@ -1,6 +1,7 @@
 """Cycle enumeration, extremal scans, and rainbow witness searches."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -19,13 +20,15 @@ from hamlabels import (
     find_rainbow_diff_path,
     find_rainbow_sum_cycle,
     group,
+    is_hamiltonian_cayley,
     is_rainbow_diff_cycle,
     is_rainbow_diff_path,
     is_rainbow_sum_cycle,
+    minimum_connection_size,
     sum_labels,
 )
 
-from oracles import raw_scan
+from oracles import raw_rainbow_search, raw_scan
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -252,3 +255,78 @@ def test_rainbow_search_deeper_than_the_recursion_limit():
     res = find_rainbow_sum_cycle(group(2001))
     assert res.status == "found" and res.nodes == 2000
     assert res.trail.covers_group and is_rainbow_sum_cycle(res.trail)
+
+
+RAINBOW_SEARCHES = {
+    "diff_path": find_rainbow_diff_path,
+    "sum_cycle": find_rainbow_sum_cycle,
+    "diff_cycle_nonzero": find_rainbow_diff_cycle_nonzero,
+}
+
+
+def _outcome(res):
+    return res.status, res.nodes, res.trail.vertices if res.trail else None
+
+
+@pytest.mark.parametrize("G", abelian_groups_in_range(2, 12),
+                         ids=lambda G: "x".join(map(str, G.invariant_factors)))
+def test_rainbow_searches_walk_the_oracle_order(G):
+    # status, node count and witness all equal a plain-tuple walk in the
+    # same order; a budget at the found count finds the same witness, one
+    # below it runs out at the node past it
+    fs = G.invariant_factors
+    for kind, search_fn in RAINBOW_SEARCHES.items():
+        if kind == "diff_cycle_nonzero" and G.order < 3:
+            continue
+        want = raw_rainbow_search(fs, kind)
+        assert _outcome(search_fn(G)) == want, kind
+        status, nodes, _ = want
+        if status != "found":
+            continue
+        assert _outcome(search_fn(G, budget=nodes)) == want, kind
+        if nodes > 1:
+            below = ("exhausted", nodes, None)
+            assert raw_rainbow_search(fs, kind, budget=nodes - 1) == below, kind
+            assert _outcome(search_fn(G, budget=nodes - 1)) == below, kind
+
+
+def test_rainbow_node_counts_of_the_longer_searches():
+    path = find_rainbow_diff_path(group(18))
+    assert (path.status, path.nodes) == ("found", 108_077)
+    cycle = find_rainbow_diff_cycle_nonzero(group(23))
+    assert (cycle.status, cycle.nodes) == ("found", 44_189)
+
+
+def test_rainbow_search_keeps_no_copy_of_the_label_table():
+    # one row view per vertex: about 0.3 MB on Z401 with the table; a
+    # Python list of every row would take about 3 MB more
+    G = group(401)
+    tracemalloc.start()
+    try:
+        res = find_rainbow_sum_cycle(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == "found"
+    assert peak < 1_000_000
+
+
+_BUDGETED_CALLS = {
+    "diff_path": lambda budget: find_rainbow_diff_path(group(18), budget=budget),
+    "sum_cycle": lambda budget: find_rainbow_sum_cycle(group(5), budget=budget),
+    "diff_cycle_nonzero": lambda budget: find_rainbow_diff_cycle_nonzero(group(5), budget=budget),
+    "hamiltonian": lambda budget: is_hamiltonian_cayley(group(17), [(1,), (2,)], budget=budget),
+    "smin": lambda budget: minimum_connection_size(group(17), budget=budget),
+}
+
+
+@pytest.mark.parametrize("budget", [0, -3, 2.5, True, "7"], ids=repr)
+@pytest.mark.parametrize("call", _BUDGETED_CALLS.values(), ids=_BUDGETED_CALLS.keys())
+def test_searches_refuse_a_budget_that_is_not_a_positive_int(call, budget, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search started")
+
+    for name in ("_rainbow_backtrack", "_is_connected_structural", "_hamiltonian_backtrack"):
+        monkeypatch.setattr(search, name, no_search)
+    with pytest.raises(ValueError, match="budget"):
+        call(budget)

@@ -17,11 +17,10 @@ from hamlabels import (
     is_rainbow_sum_cycle,
     is_rainbow_sum_path,
     sum_labels,
-    trail_from_json_dict,
     trail_to_json_dict,
 )
 
-from oracles import raw_add
+from oracles import raw_add, trail_from_json_dict
 
 
 def cyc(G, *verts):
