@@ -34,6 +34,8 @@ def cache_get(root: str | Path, key: str) -> dict | None:
         return None
     try:
         entry = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(entry, dict) or not isinstance(entry.get("report"), str):
+            raise ValueError("not an entry with a text report")
         report = entry["report"]
         exit_code = int(entry["exit_code"])
         if _sha256(report) != entry["checksum"]:

@@ -412,6 +412,23 @@ def test_cache_corruption_recovers(tmp_path):
     assert c == a
 
 
+@pytest.mark.parametrize("payload", [
+    {"report": 5, "exit_code": 0, "checksum": "x"},
+    {"report": None, "exit_code": 0, "checksum": "x"},
+    ["report", 0],
+    "report",
+], ids=["int-report", "null-report", "list", "string"])
+def test_cache_entry_of_the_wrong_shape_is_a_repaired_miss(tmp_path, payload):
+    from hamlabels import cache
+
+    args = ("smin", "--group", "9", "--cache", str(tmp_path))
+    cold = run_cli(*args)
+    entry = next(tmp_path.glob("*.json"))
+    entry.write_text(json.dumps(payload))
+    assert run_cli(*args) == cold  # recomputed, not a traceback
+    assert cache.cache_get(tmp_path, entry.stem) == {"report": cold[1], "exit_code": cold[0]}
+
+
 def test_cache_env_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("HAMLABELS_CACHE", str(tmp_path))
     run_cli("info", "--group", "4")

@@ -1,6 +1,7 @@
 """Cycle enumeration, extremal scans, and rainbow witness searches."""
 
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 from math import factorial
@@ -295,11 +296,51 @@ def test_rainbow_node_counts_of_the_longer_searches():
     assert (path.status, path.nodes) == ("found", 108_077)
     cycle = find_rainbow_diff_cycle_nonzero(group(23))
     assert (cycle.status, cycle.nodes) == ("found", 44_189)
+    sums = find_rainbow_sum_cycle(group(401))
+    assert (sums.status, sums.nodes) == ("found", 400)
+
+
+@pytest.mark.parametrize("fs", [(2, 2, 2, 2), (2, 2, 4), (3, 3, 3), (2, 2, 2, 2, 2)],
+                         ids=lambda fs: "x".join(map(str, fs)))
+def test_rainbow_searches_walk_the_oracle_order_on_rank_three_and_more(fs):
+    # a mask translation crosses several axes only from rank 2 on, and the
+    # sweep above reaches rank 3 only on Z2^3
+    G = group(*fs)
+    for kind, search_fn in RAINBOW_SEARCHES.items():
+        for budget in (1, 10, 1_000, 5_000):
+            want = raw_rainbow_search(fs, kind, budget=budget)
+            assert _outcome(search_fn(G, budget=budget)) == want, (kind, budget)
+
+
+def test_mask_translation_matches_the_shift_rows():
+    # a wrong stride, modulus or axis order moves some bit of some mask
+    for G in [*abelian_groups_in_range(1, 64), group(401)]:
+        n = G.order
+        gi = G.indexed
+        rng = random.Random(n)
+        masks = [rng.getrandbits(n) for _ in range(3)]
+        for a, moves in enumerate(search._mask_translations(G)):
+            row = gi.shift(a)
+            for mask in masks:
+                got = mask
+                for low, up, high, down in moves:
+                    got = (got & low) << up | (got & high) >> down
+                want = sum(1 << row[x] for x in range(n) if mask >> x & 1)
+                assert got == want, (G, a, bin(mask))
+
+
+@pytest.mark.parametrize("search_fn", RAINBOW_SEARCHES.values(), ids=RAINBOW_SEARCHES.keys())
+def test_rainbow_searches_build_no_label_table(search_fn):
+    for fs in [(12,), (2, 6), (3, 3)]:
+        G = group(*fs)
+        search_fn(G, budget=10_000)
+        assert not {"add", "diff"} & set(G.indexed.__dict__), fs
 
 
 def test_rainbow_search_keeps_no_copy_of_the_label_table():
-    # one row view per vertex: about 0.3 MB on Z401 with the table; a
-    # Python list of every row would take about 3 MB more
+    # one cached shift row per vertex and one translation move per shift:
+    # about 0.75 MB at peak on Z401; a Python list of every row of a label
+    # table would take about 3 MB more
     G = group(401)
     tracemalloc.start()
     try:
