@@ -60,7 +60,7 @@ CACHE_ENV = "HAMLABELS_CACHE"
 
 # Part of every cache key, with the package version: raise it whenever the
 # bytes of a report change for the same run parameters.
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 # Significant digits of the decimals in expect reports.
 DIGITS = 12

@@ -10,7 +10,7 @@ otherwise, so a bug here cannot leak into downstream reports.
 
 from __future__ import annotations
 
-from .groups import Element, GroupSpec, decompose_even
+from .groups import Element, GroupSpec
 from .trails import (
     Trail,
     diff_labels,
@@ -142,12 +142,13 @@ def fewest_sums_cycle_even(G: GroupSpec) -> Trail:
 
 # -- small number of distinct sums, odd order --------------------------------
 
-def _odd_zigzag(q: int) -> list[int]:
-    # 0, 1, q-1, 2, q-2, ..., (q+1)/2: exactly three distinct sums
+def _zigzag(n: int) -> list[int]:
+    """0, 1, n-1, 2, n-2, ...: every residue mod n once."""
     seq = [0]
-    for i in range(1, (q - 1) // 2 + 1):
+    for i in range(1, n // 2 + 1):
         seq.append(i)
-        seq.append(q - i)
+        if i != n - i:
+            seq.append(n - i)
     return seq
 
 
@@ -162,7 +163,7 @@ def fewest_sums_cycle_odd(G: GroupSpec) -> Trail:
 
     def build(fs: tuple[int, ...]) -> list[tuple[int, ...]]:
         if len(fs) == 1:
-            return [(x,) for x in _odd_zigzag(fs[0])]
+            return [(x,) for x in _zigzag(fs[0])]
         inner = build(fs[:-1])
         q = fs[-1]
         half = (q - 1) // 2
@@ -208,28 +209,31 @@ def rainbow_sum_cycle_odd(G: GroupSpec) -> Trail:
 def rainbow_sum_path(G: GroupSpec) -> Trail:
     """A Hamiltonian path with all |G|-1 consecutive sums distinct.
 
-    Requires a single even invariant factor (nonzero element sum).  Splits
-    G as odd H plus an even cyclic Z_{2m}, interleaves the two m-shifted
-    half-passes 0,m,1,m+1,... and m,0,m+1,1,... over Z_{2m}, and walks one
-    such pass per vertex of a rainbow-sum cycle on H, alternating the two
-    pass shapes so the block joins fill in the one missing sum m-1.
+    Requires a single even invariant factor (nonzero element sum).  That
+    factor is the last one, 2m, so G is H + Z_{2m} in its own coordinates,
+    with H = Z_{m_1} + ... + Z_{m_{r-1}} of odd order.  A pass over Z_{2m}
+    is 0,m,1,m+1,...,m-1,2m-1 or its shift by m; either one's sums are
+    every residue but m-1.  Walk one pass per vertex h of a rainbow-sum
+    cycle on H, alternating the two, and emit h + (c,).  Inside a pass the
+    sums are 2h + (c,) with c != m-1, distinct across passes because
+    doubling is injective on the odd-order H.  Every join sum is
+    h + h' + (m-1), with h, h' consecutive on the H-cycle, so the joins
+    supply the one sum each pass misses, and they are distinct because
+    the H-cycle's sums are.
     """
     _require("rs-path", G)
-    dec = decompose_even(G)
-    two_m = dec.cyclic_order
-    m = two_m // 2
+    fs = G.invariant_factors
+    H = GroupSpec(fs[:-1])
+    m = fs[-1] // 2
     first = []
     for i in range(m):
         first.extend((i, m + i))
-    second = [(x + m) % two_m for x in first]
-    if dec.odd_part.is_trivial:
+    second = [(x + m) % (2 * m) for x in first]
+    if H.is_trivial:
         heads: list[Element] = [()]
     else:
-        heads = list(rainbow_sum_cycle_odd(dec.odd_part).vertices)
-    verts = []
-    for i, h in enumerate(heads):
-        for c in first if i % 2 == 0 else second:
-            verts.append(dec.merge(h, c))
+        heads = list(rainbow_sum_cycle_odd(H).vertices)
+    verts = [h + (c,) for i, h in enumerate(heads) for c in (second if i % 2 else first)]
     t = Trail(G, tuple(verts), cyclic=False)
     return _verified(t, is_rainbow_sum_path(t), "rainbow_sum_path")
 
@@ -254,13 +258,7 @@ def zigzag_diff_path(G: GroupSpec) -> Trail:
     the path gives a cycle with n-1 distinct differences.
     """
     _require("rd-zigzag", G)
-    n = G.order
-    seq = [0]
-    for i in range(1, n // 2 + 1):
-        seq.append(i)
-        if i != n - i:
-            seq.append(n - i)
-    t = Trail(G, tuple((x,) for x in seq), cyclic=False)
+    t = Trail(G, tuple((x,) for x in _zigzag(G.order)), cyclic=False)
     return _verified(t, is_rainbow_diff_path(t), "zigzag_diff_path")
 
 

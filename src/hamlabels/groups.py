@@ -24,14 +24,12 @@ __all__ = [
     "Element",
     "GroupSpec",
     "GroupParseError",
-    "EvenDecomposition",
     "group",
     "parse_group",
     "invariant_factors_of",
     "abelian_groups",
     "abelian_groups_in_range",
     "span",
-    "decompose_even",
 ]
 
 
@@ -234,11 +232,10 @@ class GroupIndex:
 
     Element i is ``els[i]`` (index 0 is zero).  The O(n) vectors ``els``,
     ``index``, ``residues``, ``neg`` and ``double`` are built up front;
-    ``order`` and the n x n ``add`` and ``diff`` tables only on first use,
-    the tables as compact numpy arrays.  Code that must scale to large
-    groups works with ``shift`` and never touches the tables: each
-    translation row is built once, for the elements asked for only, and
-    kept.
+    the n x n ``add`` and ``diff`` tables only on first use, as compact
+    numpy arrays.  Code that must scale to large groups works with
+    ``shift`` and never touches the tables: each translation row is built
+    once, for the elements asked for only, and kept.
     """
 
     def __init__(self, G: GroupSpec):
@@ -282,12 +279,6 @@ class GroupIndex:
                     seen[b] = 1
                     members.append(b)
         return members
-
-    @cached_property
-    def order(self) -> np.ndarray:
-        """order[i] is the order of els[i]."""
-        return np.lcm.reduce(self._moduli // np.gcd(self.residues, self._moduli),
-                             axis=1, initial=1)
 
     @cached_property
     def add(self) -> np.ndarray:
@@ -417,52 +408,3 @@ def span(G: GroupSpec, gens) -> frozenset[Element]:
     gi = G.indexed
     members = gi.closure(gi.index[g] for g in _element_set(G, gens))
     return frozenset(gi.els[i] for i in members)
-
-
-@dataclass(frozen=True)
-class EvenDecomposition:
-    """A splitting G = H + Z_{2m} with H of odd order.
-
-    Exists exactly when the group has a single even invariant factor; the
-    even cyclic part is the 2-primary component of the largest factor and
-    H collects everything of odd order.  ``merge`` realizes the bijection
-    H + Z_{2m} -> G explicitly on coordinates.
-    """
-
-    group: GroupSpec
-    odd_part: GroupSpec
-    cyclic_order: int
-
-    def merge(self, h: Element, c: int) -> Element:
-        mr = self.group.invariant_factors[-1]
-        odd_r = mr // self.cyclic_order
-        if odd_r == 1:
-            return h + (c % mr,)
-        a = h[-1]
-        inv = pow(self.cyclic_order, -1, odd_r)
-        x = (c + self.cyclic_order * ((a - c) * inv % odd_r)) % mr
-        return h[:-1] + (x,)
-
-
-def decompose_even(G: GroupSpec) -> EvenDecomposition:
-    """Split a group with nonzero element sum as odd H plus an even cyclic part.
-
-    >>> d = decompose_even(group(12))
-    >>> d.odd_part.invariant_factors, d.cyclic_order
-    ((3,), 4)
-    """
-    evens = [m for m in G.invariant_factors if m % 2 == 0]
-    if len(evens) != 1:
-        raise ValueError(
-            f"{G} has {len(evens)} even invariant factors; "
-            "need exactly one (element sum must be nonzero)"
-        )
-    mr = G.invariant_factors[-1]
-    two_part = 1
-    while mr % 2 == 0:
-        mr //= 2
-        two_part *= 2
-    odd_factors = list(G.invariant_factors[:-1])
-    if mr > 1:
-        odd_factors.append(mr)
-    return EvenDecomposition(G, GroupSpec(tuple(odd_factors)), two_part)

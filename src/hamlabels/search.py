@@ -654,9 +654,8 @@ def classify_small_connection_set(G: GroupSpec, S) -> bool:
     if len(S) <= 1:
         return False
     s1, s2 = sorted(S)
-    gi = G.indexed
     d = G.sub(s2, s1)
-    if G.order % 2 != 0 or gi.order[gi.index[d]] != G.order // 2:
+    if G.order % 2 != 0 or G.element_order(d) != G.order // 2:
         return False
     return not (S & span(G, [d]))
 

@@ -429,6 +429,19 @@ def test_cache_entry_of_the_wrong_shape_is_a_repaired_miss(tmp_path, payload):
     assert cache.cache_get(tmp_path, entry.stem) == {"report": cold[1], "exit_code": cold[0]}
 
 
+@pytest.mark.parametrize("exit_code", [3, "2"])
+def test_cache_entry_with_an_edited_exit_code_is_a_repaired_miss(tmp_path, exit_code):
+    from hamlabels import cache
+
+    args = ("smin", "--group", "9", "--cache", str(tmp_path))
+    cold = run_cli(*args)
+    entry = next(tmp_path.glob("*.json"))
+    stored = json.loads(entry.read_text())
+    entry.write_text(json.dumps({**stored, "exit_code": exit_code}))
+    assert run_cli(*args) == cold  # recomputed, not served with the edited code
+    assert cache.cache_get(tmp_path, entry.stem) == {"report": cold[1], "exit_code": cold[0]}
+
+
 def test_cache_env_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("HAMLABELS_CACHE", str(tmp_path))
     run_cli("info", "--group", "4")

@@ -129,8 +129,20 @@ def test_rainbow_sum_path_order_two():
 
 
 def test_rainbow_sum_path_twelve():
+    # one invariant factor, so H is trivial and the path is one pass over Z12
     t = rainbow_sum_path(group(12))
+    assert t.vertices == tuple((x,) for x in (0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11))
     assert sum_labels(t).distinct_count == 11
+    assert is_rainbow_sum_path(t)
+
+
+def test_rainbow_sum_path_pinned_z3x12():
+    # a pass over Z12 per vertex of the rainbow-sum cycle 0, 1, 2 on Z3,
+    # the second one shifted by 6
+    t = rainbow_sum_path(group(3, 12))
+    first = (0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11)
+    second = (6, 0, 7, 1, 8, 2, 9, 3, 10, 4, 11, 5)
+    assert t.vertices[:24] == tuple((0, c) for c in first) + tuple((1, c) for c in second)
     assert is_rainbow_sum_path(t)
 
 
@@ -138,7 +150,8 @@ def test_rainbow_sum_path_sweep():
     for G in abelian_groups_in_range(2, SWEEP_MAX):
         if G.element_sum() == G.zero():
             continue
-        assert is_rainbow_sum_path(rainbow_sum_path(G)), G
+        t = rainbow_sum_path(G)
+        assert _full_cover(t) and is_rainbow_sum_path(t), G
 
 
 def test_rainbow_sum_cycle_odd_cyclic_is_natural():

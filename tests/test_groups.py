@@ -11,7 +11,6 @@ from hamlabels import (
     GroupSpec,
     abelian_groups,
     abelian_groups_in_range,
-    decompose_even,
     group,
     invariant_factors_of,
     parse_group,
@@ -209,36 +208,6 @@ def test_doubled_subgroup_size():
     for G in abelian_groups_in_range(1, 36):
         doubled = {G.scalar_mul(2, t) for t in G.elements()}
         assert len(doubled) * G.two_torsion_count() == G.order
-
-
-# -- even decomposition --------------------------------------------------------
-
-def test_decompose_even_examples():
-    d = decompose_even(group(12))
-    assert d.odd_part.invariant_factors == (3,)
-    assert d.cyclic_order == 4
-    d = decompose_even(group(4))
-    assert d.odd_part.is_trivial
-    assert d.cyclic_order == 4
-
-
-def test_decompose_even_rejects_two_even_factors():
-    with pytest.raises(ValueError):
-        decompose_even(group(2, 4))
-    with pytest.raises(ValueError):
-        decompose_even(group(9))
-
-
-def test_decompose_even_roundtrip_bijection():
-    for G in abelian_groups_in_range(2, 100):
-        if G.element_sum() == G.zero():
-            continue
-        d = decompose_even(G)
-        assert d.odd_part.order % 2 == 1
-        assert d.odd_part.order * d.cyclic_order == G.order
-        merged = {d.merge(h, c) for h in d.odd_part.elements()
-                  for c in range(d.cyclic_order)}
-        assert merged == set(G.elements())  # onto G from |G| pairs: a bijection
 
 
 # -- isomorphism class enumeration ----------------------------------------------
