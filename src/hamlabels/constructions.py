@@ -6,11 +6,16 @@ Each builder holds on one class of groups, written down once in
 run.  Every builder checks its own postcondition (label counts, rainbow
 property, full cover) before returning and raises ConstructionError
 otherwise, so a bug here cannot leak into downstream reports.
+
+The builders follow the paper's inductive proofs: each one that walks the
+invariant factors starts from ``[()]``, the trivial group's one-vertex
+cycle, and folds in one cyclic factor at a time, so no group needs a base
+case of its own and no builder calls another.
 """
 
 from __future__ import annotations
 
-from .groups import Element, GroupSpec
+from .groups import GroupSpec
 from .trails import (
     Trail,
     diff_labels,
@@ -72,27 +77,24 @@ def _verified(t: Trail, ok: bool, what: str) -> Trail:
 def _layered_cycle(factors: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Cycle on Z_{f_1} + ... + Z_{f_k} using one new difference per factor.
 
-    Starts from the plain cycle 0,1,...,f_k-1 and folds in the remaining
-    factors right to left; each new coordinate repeats the previous cycle
-    once per residue, layer by layer.  When the layer count is a multiple
-    of the inner cycle length the layers can chain start-to-end (each one
-    picking up where the last left off); otherwise every layer restarts at
-    the inner cycle's first vertex and the wrap-around difference of the
-    inner cycle doubles as the layer-to-layer step.  Both variants add
-    exactly one distinct difference.
+    Starts from the trivial group's one-vertex cycle and folds in the
+    factors right to left; each new coordinate j repeats the previous
+    cycle once per residue, layer by layer.  When the layer count is a
+    multiple of the inner cycle length the layers chain start-to-end
+    (layer j starts j steps back, where layer j-1 left off); otherwise
+    every layer restarts at the inner cycle's first vertex and the
+    wrap-around difference of the inner cycle doubles as the
+    layer-to-layer step.  Both variants add exactly one distinct
+    difference; over the one-vertex cycle the first fold chains, giving
+    the plain cycle 0, 1, ..., f_k - 1.
     """
-    seq = [(x,) for x in range(factors[-1])]
-    for m in reversed(factors[:-1]):
+    seq: list[tuple[int, ...]] = [()]
+    for m in reversed(factors):
         n = len(seq)
-        layered: list[tuple[int, ...]] = []
         if m % n == 0:
-            for j in range(m):
-                start = (-j) % n
-                layered.extend((j,) + seq[(start + k) % n] for k in range(n))
+            seq = [(j,) + seq[(k - j) % n] for j in range(m) for k in range(n)]
         else:
-            for j in range(m):
-                layered.extend((j,) + seq[k] for k in range(n))
-        seq = layered
+            seq = [(j,) + seq[k] for j in range(m) for k in range(n)]
     return seq
 
 
@@ -114,14 +116,10 @@ def fewest_sums_cycle_even(G: GroupSpec) -> Trail:
     are s plus a difference of the H-cycle.
     """
     _require("even-smin", G)
-    n = G.order
     fs = G.invariant_factors
     r = G.rank
-    if n == 2:
-        t = Trail(G, (G.zero(), tuple(1 if m == 2 else 0 for m in fs)), cyclic=True)
-        return _verified(t, sum_labels(t).distinct_count == 1, "fewest_sums_cycle_even")
     if fs[0] == 2:
-        # H drops the order-2 coordinate: rank r-1 (r >= 2 since n > 2 here)
+        # H drops the order-2 coordinate: rank r-1 (trivial on Z2)
         inner = _layered_cycle(fs[1:])
         cycle_h = [(0,) + h for h in inner]
         s = (1,) + (0,) * (r - 1)
@@ -155,27 +153,21 @@ def _zigzag(n: int) -> list[int]:
 def fewest_sums_cycle_odd(G: GroupSpec) -> Trail:
     """Odd-order cycle with at most 2*rank(G)+1 distinct sums (exactly 3 if cyclic).
 
-    Cyclic base is the zigzag 0, 1, q-1, 2, q-2, ...; each further factor
-    q = 2n+1 stitches n+1 alternating double-passes over the inner cycle,
-    adding only the two sums h_m + h_1 + 1 and h_m + h_1 + (n+1).
+    Starts from the trivial group's one-vertex cycle and folds in the
+    factors left to right: each factor q = 2n+1 stitches n+1 alternating
+    double-passes over the inner cycle, adding only the two sums
+    h_m + h_1 + 1 and h_m + h_1 + (n+1).  Over the one-vertex cycle the
+    first fold is the zigzag 0, 1, q-1, 2, q-2, ...
     """
     _require("odd-smin", G)
-
-    def build(fs: tuple[int, ...]) -> list[tuple[int, ...]]:
-        if len(fs) == 1:
-            return [(x,) for x in _zigzag(fs[0])]
-        inner = build(fs[:-1])
-        q = fs[-1]
-        half = (q - 1) // 2
+    verts: list[tuple[int, ...]] = [()]
+    for q in G.invariant_factors:
+        inner = verts
         verts = [h + (0,) for h in inner]
-        for i in range(1, half + 1):
-            for j, h in enumerate(inner):
-                verts.append(h + ((i if j % 2 == 0 else q - i),))
-            for j, h in enumerate(inner):
-                verts.append(h + ((q - i if j % 2 == 0 else i),))
-        return verts
-
-    t = Trail(G, tuple(build(G.invariant_factors)), cyclic=True)
+        for i in range(1, (q - 1) // 2 + 1):
+            verts += [h + ((i if j % 2 == 0 else q - i),) for j, h in enumerate(inner)]
+            verts += [h + ((q - i if j % 2 == 0 else i),) for j, h in enumerate(inner)]
+    t = Trail(G, tuple(verts), cyclic=True)
     got = sum_labels(t).distinct_count
     ok = got <= 2 * G.rank + 1 and (not G.is_cyclic or got == 3)
     return _verified(t, ok, "fewest_sums_cycle_odd")
@@ -184,25 +176,18 @@ def fewest_sums_cycle_odd(G: GroupSpec) -> Trail:
 # -- rainbow-sum trails -------------------------------------------------------
 
 def rainbow_sum_cycle_odd(G: GroupSpec) -> Trail:
-    """A Hamiltonian cycle on an odd-order group with all sums distinct.
+    """A Hamiltonian cycle on an odd-order group with all sums distinct:
+    G's elements in lexicographic order.
 
-    For cyclic groups the natural order 0, 1, ..., n-1 already works.  In
-    general, repeat a rainbow-sum cycle on the leading factors blockwise:
-    for consecutive blocks shifted by h_i and h_{i+1}, the join sum
-    h_i + h_{i+1} + (q-1) inherits distinctness from the inner cycle, and
-    block-internal sums 2h_i + c are separated because doubling is
-    injective in odd order.
+    For cyclic groups this is the natural order 0, 1, ..., n-1.  In
+    general it repeats the lexicographic cycle on the leading factors
+    blockwise, one block 0, 1, ..., q-1 of the last factor q per vertex
+    h_i: for consecutive blocks the join sum h_i + h_{i+1} + (q-1)
+    inherits distinctness from the inner cycle, and block-internal sums
+    2h_i + c are separated because doubling is injective in odd order.
     """
     _require("rs-cycle", G)
-
-    def build(fs: tuple[int, ...]) -> list[tuple[int, ...]]:
-        if len(fs) == 1:
-            return [(x,) for x in range(fs[0])]
-        inner = build(fs[:-1])
-        q = fs[-1]
-        return [h + (j,) for h in inner for j in range(q)]
-
-    t = Trail(G, tuple(build(G.invariant_factors)), cyclic=True)
+    t = Trail(G, G.elements(), cyclic=True)
     return _verified(t, is_rainbow_sum_cycle(t), "rainbow_sum_cycle_odd")
 
 
@@ -213,40 +198,34 @@ def rainbow_sum_path(G: GroupSpec) -> Trail:
     factor is the last one, 2m, so G is H + Z_{2m} in its own coordinates,
     with H = Z_{m_1} + ... + Z_{m_{r-1}} of odd order.  A pass over Z_{2m}
     is 0,m,1,m+1,...,m-1,2m-1 or its shift by m; either one's sums are
-    every residue but m-1.  Walk one pass per vertex h of a rainbow-sum
-    cycle on H, alternating the two, and emit h + (c,).  Inside a pass the
-    sums are 2h + (c,) with c != m-1, distinct across passes because
-    doubling is injective on the odd-order H.  Every join sum is
-    h + h' + (m-1), with h, h' consecutive on the H-cycle, so the joins
-    supply the one sum each pass misses, and they are distinct because
-    the H-cycle's sums are.
+    every residue but m-1.  Walk one pass per element h of H in
+    lexicographic order, which is H's rainbow-sum cycle (the one-vertex
+    cycle when H is trivial), alternating the two, and emit h + (c,).
+    Inside a pass the sums are 2h + (c,) with c != m-1, distinct across
+    passes because doubling is injective on the odd-order H.  Every join
+    sum is h + h' + (m-1), with h, h' consecutive on the H-cycle, so the
+    joins supply the one sum each pass misses, and they are distinct
+    because the H-cycle's sums are.
     """
     _require("rs-path", G)
     fs = G.invariant_factors
-    H = GroupSpec(fs[:-1])
     m = fs[-1] // 2
     first = []
     for i in range(m):
         first.extend((i, m + i))
     second = [(x + m) % (2 * m) for x in first]
-    if H.is_trivial:
-        heads: list[Element] = [()]
-    else:
-        heads = list(rainbow_sum_cycle_odd(H).vertices)
+    heads = GroupSpec(fs[:-1]).elements()
     verts = [h + (c,) for i, h in enumerate(heads) for c in (second if i % 2 else first)]
     t = Trail(G, tuple(verts), cyclic=False)
     return _verified(t, is_rainbow_sum_path(t), "rainbow_sum_path")
 
 
 def elementary_abelian8_cycle(G: GroupSpec) -> Trail:
-    """The 8-vertex cycle over Z2^3 realizing six distinct sums."""
+    """The 8-vertex cycle 0, g1, g2, g3, g1+g2, g1+g2+g3, g1+g3, g2+g3 over
+    Z2^3, realizing six distinct sums."""
     _require("e8-cycle", G)
-    g1, g2, g3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    a = G.add
-    verts = (
-        G.zero(), g1, g2, g3,
-        a(g1, g2), a(a(g1, g2), g3), a(g1, g3), a(g2, g3),
-    )
+    verts = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+             (1, 1, 0), (1, 1, 1), (1, 0, 1), (0, 1, 1))
     t = Trail(G, verts, cyclic=True)
     return _verified(t, sum_labels(t).distinct_count == 6, "elementary_abelian8_cycle")
 

@@ -95,8 +95,6 @@ def expected_distinct_diffs(G: GroupSpec) -> Fraction:
     n = G.order
     if n < 2:
         raise ValueError("expectation undefined for the trivial group")
-    if n == 2:
-        return Fraction(1)
     a = _off_by_one_free_cycles(n)
     total = 0
     for d in _divisors(n):
@@ -134,6 +132,7 @@ def expected_distinct_sums(G: GroupSpec) -> Fraction:
     if n < 2:
         raise ValueError("expectation undefined for the trivial group")
     if n == 2:
+        # the inclusion-exclusion below divides by n - j - 1, which is 0 here
         return Fraction(1)
     n0 = G.two_torsion_count()
     # n/n0 labels lie in 2G, each with n0 roots c (g = 2c) that pair with

@@ -83,12 +83,13 @@ class SearchBudgetExceeded(RuntimeError):
         self.nodes = nodes
 
 
-def _check_budget(budget) -> None:
-    """Refuse a node budget other than None or a positive int (a bool is
-    not one), before any search starts."""
-    if budget is not None and (type(budget) is bool or not isinstance(budget, int)
-                               or budget < 1):
-        raise ValueError(f"budget must be None or a positive integer, got {budget!r}")
+def _check_count(name: str, value, *, or_none: bool = False) -> None:
+    """Refuse a count other than a positive int (a bool is not one), or
+    None where ``or_none``, before any work starts."""
+    if value is None and or_none:
+        return
+    if type(value) is bool or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass
@@ -288,8 +289,7 @@ def extremal_scan(G: GroupSpec, *, threads: int = 1) -> ExtremalReport:
     """
     n = G.order
     _check_scan_order(n)
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    _check_count("threads", threads)
     gi = G.indexed
     heads = itertools.permutations(range(1, n), n - 1 - min(n - 2, _BLOCK))
     labels = _label_masks(G)
@@ -442,7 +442,7 @@ def find_rainbow_diff_path(G: GroupSpec, budget: int | None = None) -> SearchRes
     Start vertex is pinned to 0: translating a path leaves its difference
     labels unchanged, so every witness has a representative starting at 0.
     """
-    _check_budget(budget)
+    _check_count("budget", budget, or_none=True)
     if G.order < 2:
         raise ValueError("need |G| >= 2")
     return _rainbow_backtrack(G, (1 << G.order) - 1, sums=False, cyclic=False,
@@ -457,7 +457,7 @@ def find_rainbow_sum_cycle(G: GroupSpec, budget: int | None = None) -> SearchRes
     still walks its whole space before it reports "nonexistent" (1,283,373
     nodes on Z12).
     """
-    _check_budget(budget)
+    _check_count("budget", budget, or_none=True)
     if G.order < 2:
         raise ValueError("need |G| >= 2")
     return _rainbow_backtrack(G, (1 << G.order) - 1, sums=True, cyclic=True,
@@ -472,7 +472,7 @@ def find_rainbow_diff_cycle_nonzero(G: GroupSpec, budget: int | None = None) -> 
     is nonzero; the search still walks its whole space before it reports
     "nonexistent".
     """
-    _check_budget(budget)
+    _check_count("budget", budget, or_none=True)
     if G.order < 3:
         raise ValueError("need |G| >= 3")
     return _rainbow_backtrack(G, (1 << G.order) - 2, sums=False, cyclic=True,
@@ -604,7 +604,7 @@ def is_hamiltonian_cayley(G: GroupSpec, S, *, budget: int | None = None,
     than guessing when the budget runs out.  A witness cycle C always
     satisfies S(C) being a subset of the connection set.
     """
-    _check_budget(budget)
+    _check_count("budget", budget, or_none=True)
     if dp_limit > DEFAULT_DP_LIMIT:
         raise ValueError(
             f"dp_limit {dp_limit} exceeds {DEFAULT_DP_LIMIT}: an unbudgeted search "
@@ -682,7 +682,7 @@ def _size_bounds(G: GroupSpec) -> tuple[int, int]:
         upper = lower  # even order: the closed form is exact
     else:
         upper = 2 * r + 1
-    return max(lower, 1), upper
+    return lower, upper
 
 
 def minimum_connection_size(G: GroupSpec, *,
@@ -696,7 +696,7 @@ def minimum_connection_size(G: GroupSpec, *,
     Hamiltonicity is orbit-invariant).  Budget exhaustion yields a
     bracketing interval instead of a value.
     """
-    _check_budget(budget)
+    _check_count("budget", budget, or_none=True)
     n = G.order
     if n < 2:
         raise ValueError("need |G| >= 2")

@@ -16,7 +16,12 @@ from hamlabels import (
     minimum_connection_size,
     sum_labels,
 )
-from hamlabels.search import DEFAULT_DP_LIMIT, _hamiltonian_backtrack, _lowest_bit
+from hamlabels.search import (
+    DEFAULT_DP_LIMIT,
+    _hamiltonian_backtrack,
+    _lowest_bit,
+    _size_bounds,
+)
 from oracles import raw_first_hamiltonian_cycle
 
 
@@ -213,6 +218,15 @@ def test_minimum_connection_odd_bounds():
         assert G.rank + 1 <= size <= 2 * G.rank + 1, G
         if G.is_cyclic:
             assert size == 3
+
+
+def test_minimum_connection_lower_bound_has_no_smaller_set():
+    # the search starts at this bound and verify predicts the same value,
+    # so only a check from below catches a bound that is too high
+    for G in abelian_groups_in_range(2, 32):
+        lower, _ = _size_bounds(G)
+        for S in itertools.combinations(G.elements(), lower - 1):
+            assert not is_hamiltonian_cayley(G, S)[0], (G, S)
 
 
 # the first witness of each size search: the least canonical set, and its

@@ -97,6 +97,14 @@ def test_fewest_sums_odd_pinned_zigzags():
     assert sum_labels(t).distinct_count == 3
 
 
+def test_fewest_sums_odd_pinned_rank_two():
+    # the zigzag on Z3 at 0, then one alternating double-pass over it at 1 and 2
+    t = fewest_sums_cycle_odd(group(3, 3))
+    assert t.vertices == ((0, 0), (1, 0), (2, 0), (0, 1), (1, 2), (2, 1),
+                          (0, 2), (1, 1), (2, 2))
+    assert set(sum_labels(t).labels) == {(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)}
+
+
 def test_fewest_sums_odd_rank_two_bound():
     t = fewest_sums_cycle_odd(group(3, 3))
     assert sum_labels(t).distinct_count <= 5
@@ -159,6 +167,10 @@ def test_rainbow_sum_cycle_odd_cyclic_is_natural():
     assert t.vertices == ((0,), (1,), (2,), (3,), (4,))
     assert is_rainbow_sum_cycle(t)
     assert rainbow_sum_cycle_odd(group(3)).vertices == ((0,), (1,), (2,))
+    # and at every rank: lexicographic order
+    for G in abelian_groups_in_range(3, 125):
+        if G.order % 2:
+            assert rainbow_sum_cycle_odd(G).vertices == G.elements(), G
 
 
 def test_rainbow_sum_cycle_odd_noncyclic():

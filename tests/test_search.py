@@ -184,7 +184,7 @@ def test_scan_cap():
     search._check_scan_order(search.MAX_SCAN_ORDER)  # the ceiling itself is admitted
 
 
-@pytest.mark.parametrize("threads", [0, -1])
+@pytest.mark.parametrize("threads", [0, -1, 2.5, True, "2"])
 def test_scan_refuses_fewer_than_one_thread(threads):
     with pytest.raises(ValueError, match="threads"):
         extremal_scan(group(4), threads=threads)
