@@ -28,6 +28,7 @@ import numpy as np
 from .groups import (
     Element,
     GroupSpec,
+    _check_count,
     _divisors,
     _element_set,
     span,
@@ -201,12 +202,15 @@ def monte_carlo_estimate(G: GroupSpec, mode: str, trials: int, seed: int) -> McE
     shuffled by numpy's Fisher-Yates (Generator.permuted), so results are
     identical across platforms and independent of any worker scheduling.
     Per-trial counts are integers, so the accumulated moments are exact.
+    ``trials`` must be a positive int and ``seed`` an int (a bool is
+    neither); anything else is a ValueError before the first shard.
     """
     n = G.order
     if n < 3:
         raise ValueError("need |G| >= 3")
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check_count("trials", trials)
+    if type(seed) is bool or not isinstance(seed, int):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if mode not in ("sum", "diff"):
         raise ValueError(f"mode must be 'sum' or 'diff', got {mode!r}")
     # read by indexing the flat table, not by take: take copies the whole

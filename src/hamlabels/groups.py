@@ -294,6 +294,15 @@ class GroupIndex:
         return self.add[self.neg]
 
 
+def _check_count(name: str, value, *, or_none: bool = False) -> None:
+    """Refuse a count other than a positive int (a bool is not one), or
+    None where ``or_none``, before any work starts."""
+    if value is None and or_none:
+        return
+    if type(value) is bool or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def _element_set(G: GroupSpec, items) -> frozenset[Element]:
     """Outside input as a set of element tuples; ValueError on any item
     ``G.contains`` refuses.  (True,), (1.0,) and (np.int64(1),) pass the

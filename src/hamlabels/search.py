@@ -2,9 +2,10 @@
 
 Covers full Hamiltonian-cycle enumeration with exact extremal and mean
 statistics (the cycles are walked in lexicographic numpy blocks, which
-may run on threads and are merged in block order), backtracking witness
-searches for rainbow trails, addition Cayley graphs with connectivity and
-Hamiltonicity tests, and the exact minimum size of a connection set
+may run on threads and reduce to their extremes and totals; one merge in
+block order picks the four extremes and builds their witnesses once),
+backtracking witness searches for rainbow trails, addition Cayley
+graphs with connectivity and Hamiltonicity tests, and the exact minimum size of a connection set
 giving a Hamiltonian addition Cayley graph.
 Hamiltonicity has one backtracking search: up to ``DEFAULT_DP_LIMIT``
 vertices it is exact and unbudgeted and remembers dead states, above it
@@ -17,7 +18,9 @@ from a bitmask, the free vertices minus a translate of the used labels.
 Budgets are node counts, never wall time, so results are reproducible:
 None or a positive int, anything else is a ValueError before any search.
 A search only ever reports "nonexistent" after exhausting its whole
-space; running out of budget is a distinct outcome.
+space, or after 0 nodes where counting the labels rules every witness
+out (the rainbow searches, by the element sum); running out of budget
+is a distinct outcome.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from math import factorial
 import numpy as np
 
 from .expectation import format_rational
-from .groups import Element, GroupSpec, _element_set, span
+from .groups import Element, GroupSpec, _check_count, _element_set, span
 from .trails import Trail, sum_labels, trail_to_json_dict
 
 __all__ = [
@@ -81,15 +84,6 @@ class SearchBudgetExceeded(RuntimeError):
     def __init__(self, nodes: int):
         super().__init__(f"search budget exhausted after {nodes} nodes")
         self.nodes = nodes
-
-
-def _check_count(name: str, value, *, or_none: bool = False) -> None:
-    """Refuse a count other than a positive int (a bool is not one), or
-    None where ``or_none``, before any work starts."""
-    if value is None and or_none:
-        return
-    if type(value) is bool or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass
@@ -225,15 +219,6 @@ def _label_masks(G: GroupSpec) -> np.ndarray:
             | np.left_shift(1 << _SUM_BIT, gi.add, dtype=np.int32))
 
 
-# (witness name, block counts: 0 diffs or 1 sums, lower is better)
-_EXTREMES = (
-    ("min_diffs", 0, True),
-    ("max_diffs", 0, False),
-    ("min_sums", 1, True),
-    ("max_sums", 1, False),
-)
-
-
 def _block_counts(n: int, head: tuple[int, ...],
                   labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct diff and sum counts of the cycles 0, *head, then the
@@ -253,26 +238,6 @@ def _block_counts(n: int, head: tuple[int, ...],
     return pop.take(masks & ((1 << _SUM_BIT) - 1)), pop.take(masks >> _SUM_BIT)
 
 
-def _scan_block(n: int, head: tuple[int, ...],
-                labels: np.ndarray) -> tuple[dict, list[int], int]:
-    """Scan the cycles 0, *head, then the other vertices in every order.
-
-    The tail comes from the cached lexicographic table, so the block's
-    rows are in lexicographic order.  Returns the first (count, cycle)
-    reaching each extreme of ``_EXTREMES``, the diff and sum count totals
-    and the number of cycles.
-    """
-    counts = _block_counts(n, head, labels)
-    rest = [k for k in range(1, n) if k not in head]
-    table = _lex_permutations(len(rest))
-    best = {}
-    for name, row, lower in _EXTREMES:
-        c = counts[row]
-        r = int(np.argmin(c) if lower else np.argmax(c))
-        best[name] = (int(c[r]), (0, *head, *(rest[i] for i in table[r].tolist())))
-    return best, [int(c.sum()) for c in counts], len(table)
-
-
 def extremal_scan(G: GroupSpec, *, threads: int = 1) -> ExtremalReport:
     """Scan all (|G|-1)! cycles for exact extremal and mean label counts.
 
@@ -282,41 +247,50 @@ def extremal_scan(G: GroupSpec, *, threads: int = 1) -> ExtremalReport:
     cached lexicographic table, so no Python tuple is built per cycle.
     Each cycle's distinct labels are counted as the set bits of the OR of
     its edges' one-bit label masks (``_label_masks``), with no sort.
-    With ``threads`` of 2 or more the blocks are evaluated by a pool of
-    that many threads (numpy releases the GIL), but they are merged in
-    block order, so the report (witnesses included: the first cycle
-    reaching each extreme) never depends on the thread count.
+    A block reduces its diff and its sum counts to the least and the
+    greatest with their first rows, and the total, on a pool of
+    ``threads`` threads when that is 2 or more (numpy releases the GIL).
+    Stacked in block order, argmin/argmax pick the first block reaching
+    each extreme, so each witness, built once after the merge, is the
+    first cycle reaching it and the report never depends on the thread
+    count.
     """
     n = G.order
     _check_scan_order(n)
     _check_count("threads", threads)
-    gi = G.indexed
-    heads = itertools.permutations(range(1, n), n - 1 - min(n - 2, _BLOCK))
+    heads = list(itertools.permutations(range(1, n), n - 1 - min(n - 2, _BLOCK)))
+    table = _lex_permutations(n - 1 - len(heads[0]))
     labels = _label_masks(G)
 
-    def scan(head: tuple[int, ...]):
-        return _scan_block(n, head, labels)
+    def scan(head: tuple[int, ...]) -> list:
+        out = []
+        for c in _block_counts(n, head, labels):
+            lo, hi = c.argmin(), c.argmax()
+            out += (c[lo], lo, c[hi], hi, c.sum())
+        return out
 
     if threads == 1:
         blocks = list(map(scan, heads))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             blocks = list(pool.map(scan, heads))
-
-    best = {name: (n + 1, ()) if lower else (-1, ()) for name, _, lower in _EXTREMES}
-    totals = [0, 0]
-    rows = 0
-    # in block order, so ties go to the lexicographically first cycle
-    for block_best, block_totals, block_rows in blocks:
-        for name, _, lower in _EXTREMES:
-            val = block_best[name][0]
-            if (val < best[name][0]) if lower else (val > best[name][0]):
-                best[name] = block_best[name]
-        totals = [t + b for t, b in zip(totals, block_totals)]
-        rows += block_rows
+    # stats[b, k, :] for block b and labels k (0 diffs, 1 sums)
+    stats = np.array(blocks, dtype=np.int64).reshape(len(heads), 2, 5)
+    rows = len(heads) * len(table)
     assert rows == factorial(n - 1)
+    els = G.indexed.els
 
-    els = gi.els
+    def extreme(k: int, pick, col: int) -> tuple[int, Trail]:
+        b = int(pick(stats[:, k, col]))
+        head = heads[b]
+        rest = [v for v in range(1, n) if v not in head]
+        cycle = (0, *head, *(rest[i] for i in table[stats[b, k, col + 1]].tolist()))
+        return int(stats[b, k, col]), Trail(G, tuple(els[i] for i in cycle), cyclic=True)
+
+    best = {f"{name}_{kind}": extreme(k, pick, col)
+            for k, kind in enumerate(("diffs", "sums"))
+            for name, pick, col in (("min", np.argmin, 0), ("max", np.argmax, 2))}
+    totals = stats[:, :, 4].sum(axis=0).tolist()
     return ExtremalReport(
         group=G,
         min_distinct_diffs=best["min_diffs"][0],
@@ -326,8 +300,7 @@ def extremal_scan(G: GroupSpec, *, threads: int = 1) -> ExtremalReport:
         cycle_count=rows,
         mean_distinct_diffs=Fraction(totals[0], rows),
         mean_distinct_sums=Fraction(totals[1], rows),
-        witnesses={name: Trail(G, tuple(els[i] for i in cycle), cyclic=True)
-                   for name, (_, cycle) in best.items()},
+        witnesses={name: trail for name, (_, trail) in best.items()},
     )
 
 
@@ -441,10 +414,15 @@ def find_rainbow_diff_path(G: GroupSpec, budget: int | None = None) -> SearchRes
 
     Start vertex is pinned to 0: translating a path leaves its difference
     labels unchanged, so every witness has a representative starting at 0.
+    The n - 1 differences of a witness are the nonzero elements and add up
+    to its last vertex minus its first, so no witness exists when the
+    element sum is 0; that is reported as "nonexistent" after 0 nodes.
     """
     _check_count("budget", budget, or_none=True)
     if G.order < 2:
         raise ValueError("need |G| >= 2")
+    if G.element_sum() == G.zero():
+        return SearchResult(NONEXISTENT, None, 0)
     return _rainbow_backtrack(G, (1 << G.order) - 1, sums=False, cyclic=False,
                               budget=budget)
 
@@ -453,13 +431,15 @@ def find_rainbow_sum_cycle(G: GroupSpec, budget: int | None = None) -> SearchRes
     """Search for a Hamiltonian cycle on G with all sums distinct.
 
     The n sums of a witness are all of G and add up to twice the element
-    sum, so no witness exists when the element sum is nonzero; the search
-    still walks its whole space before it reports "nonexistent" (1,283,373
-    nodes on Z12).
+    sum, so no witness exists when the element sum is nonzero; on Z2^k no
+    sum of two distinct elements is 0, so none exists there either.  Both
+    are reported as "nonexistent" after 0 nodes.
     """
     _check_count("budget", budget, or_none=True)
     if G.order < 2:
         raise ValueError("need |G| >= 2")
+    if G.element_sum() != G.zero() or G.is_elementary_abelian_2:
+        return SearchResult(NONEXISTENT, None, 0)
     return _rainbow_backtrack(G, (1 << G.order) - 1, sums=True, cyclic=True,
                               budget=budget)
 
@@ -469,12 +449,13 @@ def find_rainbow_diff_cycle_nonzero(G: GroupSpec, budget: int | None = None) -> 
 
     The n - 1 differences of a witness are the nonzero elements and add
     up to 0 around the cycle, so no witness exists when the element sum
-    is nonzero; the search still walks its whole space before it reports
-    "nonexistent".
+    is nonzero; that is reported as "nonexistent" after 0 nodes.
     """
     _check_count("budget", budget, or_none=True)
     if G.order < 3:
         raise ValueError("need |G| >= 3")
+    if G.element_sum() != G.zero():
+        return SearchResult(NONEXISTENT, None, 0)
     return _rainbow_backtrack(G, (1 << G.order) - 2, sums=False, cyclic=True,
                               budget=budget)
 

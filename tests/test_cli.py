@@ -58,6 +58,36 @@ def test_info_orders_range():
     assert [r["group"] for r in payload["reports"]] == ["Z3", "Z4", "Z2 x Z2", "Z5"]
 
 
+INFO_Z6_TEXT = """\
+command: info
+reports:
+  element_sum:
+    3
+  element_sum_is_zero: False
+  elements_by_order:
+    1: 1
+    2: 1
+    3: 2
+    6: 2
+  group: Z6
+  invariant_factors:
+    6
+  involutions: 1
+  order: 6
+  rank: 1
+  two_torsion: 2
+
+"""
+
+
+def test_info_text_format_and_its_cache_hit(tmp_path):
+    assert run_cli("info", "--group", "6", "--format", "text") == (EXIT_PASS, INFO_Z6_TEXT)
+    args = ("info", "--group", "6", "--format", "text", "--cache", str(tmp_path))
+    cold = run_cli(*args)
+    assert len(list(tmp_path.glob("*.json"))) == 1
+    assert run_cli(*args) == cold == (EXIT_PASS, INFO_Z6_TEXT)
+
+
 # -- construct --------------------------------------------------------------------
 
 def test_construct_each_builder():

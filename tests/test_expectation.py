@@ -245,8 +245,12 @@ def test_monte_carlo_close_to_exact_value():
 def test_monte_carlo_validates_input():
     with pytest.raises(ValueError):
         monte_carlo_estimate(group(2), "sum", 10, seed=0)
-    with pytest.raises(ValueError):
-        monte_carlo_estimate(group(4), "sum", 0, seed=0)
+    for trials in (0, True, 2.5):
+        with pytest.raises(ValueError, match="trials"):
+            monte_carlo_estimate(group(4), "sum", trials, seed=0)
+    for seed in (1.5, True):
+        with pytest.raises(ValueError, match="seed"):
+            monte_carlo_estimate(group(4), "sum", 10, seed=seed)
     with pytest.raises(ValueError):
         monte_carlo_estimate(group(4), "median", 10, seed=0)
 

@@ -1,5 +1,6 @@
 """Cycle enumeration, extremal scans, and rainbow witness searches."""
 
+import functools
 import itertools
 import random
 import tracemalloc
@@ -29,7 +30,7 @@ from hamlabels import (
     sum_labels,
 )
 
-from oracles import raw_rainbow_search, raw_scan
+from oracles import raw_add, raw_elements, raw_rainbow_search, raw_scan
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -269,6 +270,23 @@ def _outcome(res):
     return res.status, res.nodes, res.trail.vertices if res.trail else None
 
 
+def _backtrack(G, kind, budget=None):
+    # the walk behind the public search, without its counting shortcut
+    vertices = (1 << G.order) - (2 if kind == "diff_cycle_nonzero" else 1)
+    return _outcome(search._rainbow_backtrack(G, vertices, sums=kind == "sum_cycle",
+                                              cyclic=kind != "diff_path", budget=budget))
+
+
+def _ruled_out(fs, kind):
+    # the searches answer these by counting, before any node; sigma is the
+    # sum of the elements, taken on plain tuples
+    sigma = functools.reduce(functools.partial(raw_add, fs), raw_elements(fs))
+    zero = sigma == tuple(0 for _ in fs)
+    if kind == "diff_path":
+        return zero
+    return not zero or (kind == "sum_cycle" and set(fs) == {2})
+
+
 @pytest.mark.parametrize("G", abelian_groups_in_range(2, 12),
                          ids=lambda G: "x".join(map(str, G.invariant_factors)))
 def test_rainbow_searches_walk_the_oracle_order(G):
@@ -280,6 +298,11 @@ def test_rainbow_searches_walk_the_oracle_order(G):
         if kind == "diff_cycle_nonzero" and G.order < 3:
             continue
         want = raw_rainbow_search(fs, kind)
+        if _ruled_out(fs, kind):
+            assert want[0] == "nonexistent", kind
+            assert _outcome(search_fn(G)) == ("nonexistent", 0, None), kind
+            assert _backtrack(G, kind) == want, kind
+            continue
         assert _outcome(search_fn(G)) == want, kind
         status, nodes, _ = want
         if status != "found":
@@ -309,6 +332,11 @@ def test_rainbow_searches_walk_the_oracle_order_on_rank_three_and_more(fs):
     for kind, search_fn in RAINBOW_SEARCHES.items():
         for budget in (1, 10, 1_000, 5_000):
             want = raw_rainbow_search(fs, kind, budget=budget)
+            if _ruled_out(fs, kind):
+                got = _outcome(search_fn(G, budget=budget))
+                assert got == ("nonexistent", 0, None), (kind, budget)
+                assert _backtrack(G, kind, budget) == want, (kind, budget)
+                continue
             assert _outcome(search_fn(G, budget=budget)) == want, (kind, budget)
 
 
