@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import factorial
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .groups import (
     Element,
@@ -33,6 +32,9 @@ from .groups import (
     _element_set,
     span,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "McEstimate",
@@ -172,6 +174,8 @@ def _cycle_edges(verts: np.ndarray, n: int) -> np.ndarray:
     """The flat index v * n + w of every edge v -> w of each row of vertex
     indices, read as a cycle: the last edge returns to the row's first
     vertex.  The result indexes an n x n label table read flat."""
+    import numpy as np
+
     # int16 holds every flat index while n * n <= 2**15
     edges = np.multiply(verts, n, dtype=np.int16 if n * n <= 1 << 15 else np.int64)
     edges[:, :-1] += verts[:, 1:]
@@ -181,6 +185,8 @@ def _cycle_edges(verts: np.ndarray, n: int) -> np.ndarray:
 
 def _distinct_per_row(labels: np.ndarray) -> np.ndarray:
     """The number of distinct values in each row of a label array."""
+    import numpy as np
+
     srt = np.sort(labels, axis=1)
     return (np.diff(srt, axis=1) != 0).sum(axis=1) + 1
 
@@ -205,6 +211,8 @@ def monte_carlo_estimate(G: GroupSpec, mode: str, trials: int, seed: int) -> McE
     ``trials`` must be a positive int and ``seed`` an int (a bool is
     neither); anything else is a ValueError before the first shard.
     """
+    import numpy as np
+
     n = G.order
     if n < 3:
         raise ValueError("need |G| >= 3")

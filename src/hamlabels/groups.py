@@ -12,11 +12,15 @@ from __future__ import annotations
 import itertools
 import operator
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, isqrt, lcm, prod
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Element = tuple[int, ...]
 
@@ -54,7 +58,10 @@ def _integer_factors(factors, what: str) -> tuple[int, ...]:
     """Each factor as a plain int (through ``operator.index``); ValueError
     for anything that is not an integer, a bool included."""
     factors = tuple(factors)
-    if not any(isinstance(f, (bool, np.bool_)) for f in factors):
+    # no numpy bool exists before numpy is imported, so this never imports it
+    numpy = sys.modules.get("numpy")
+    bools = bool if numpy is None else (bool, numpy.bool_)
+    if not any(isinstance(f, bools) for f in factors):
         try:
             return tuple(map(operator.index, factors))
         except TypeError:
@@ -230,40 +237,43 @@ class GroupSpec:
 class GroupIndex:
     """A group with its elements numbered 0..n-1 in lexicographic order.
 
-    Element i is ``els[i]`` (index 0 is zero).  The O(n) vectors ``els``,
-    ``index``, ``residues``, ``neg`` and ``double`` are built up front;
-    the n x n ``add`` and ``diff`` tables only on first use, as compact
-    numpy arrays.  Code that must scale to large groups works with
-    ``shift`` and never touches the tables: each translation row is built
-    once, for the elements asked for only, and kept.
+    Element i is ``els[i]`` (index 0 is zero) and ``index`` maps each
+    element back.  The index rows are plain Python: ``neg`` and ``double``
+    are built up front and each translation row ``shift(a)`` once, for the
+    elements asked for only, each by one mixed-radix comprehension per
+    invariant factor and kept as a compact read-only memoryview (int16, or
+    int32 above order 32,768).  Only the n x n ``add`` and ``diff`` tables
+    are numpy arrays, built on first use; they are the only members that
+    import numpy, and code that must scale to large groups never touches
+    them.
     """
 
     def __init__(self, G: GroupSpec):
-        fs = G.invariant_factors
+        self._factors = G.invariant_factors
         self.n = G.order
         self.els = G.elements()
         self.index = {a: i for i, a in enumerate(self.els)}
-        self.residues = np.array(self.els, dtype=np.int64).reshape(self.n, len(fs))
-        self._moduli = np.array(fs, dtype=np.int64)
-        self._strides = np.array([prod(fs[k + 1:]) for k in range(len(fs))],
-                                 dtype=np.int64)
-        self.neg = self._encode(-self.residues)
-        self.double = self._encode(2 * self.residues)
-        self._dtype = np.int16 if self.n <= 1 << 15 else np.int32
+        self._typecode = "h" if self.n <= 1 << 15 else "i"
+        self.neg = self._row([[-x % m for x in range(m)] for m in self._factors])
+        self.double = self._row([[2 * x % m for x in range(m)] for m in self._factors])
         # shift(a) by a; two threads asking for one a at once build equal rows
         self._rows: dict[int, memoryview] = {}
 
-    def _encode(self, coords: np.ndarray) -> np.ndarray:
-        """Indices of the elements with these (unreduced) coordinates."""
-        return (coords % self._moduli) @ self._strides
+    def _row(self, images: list[list[int]]) -> memoryview:
+        """The read-only row whose entry x is the index of the element with
+        coordinate ``images[k][c]`` on each factor k where x has c."""
+        row = [0]
+        for m, image in zip(self._factors, images):
+            row = [r * m + y for r in row for y in image]
+        return memoryview(array(self._typecode, row)).toreadonly()
 
     def shift(self, a: int) -> memoryview:
         """Index of els[a] + els[x] for every x, as a read-only row built
         in O(n) on the first call for ``a`` and returned from then on."""
         row = self._rows.get(a)
         if row is None:
-            values = self._encode(self.residues + self.residues[a]).astype(self._dtype)
-            row = self._rows[a] = memoryview(values.tobytes()).cast(values.dtype.char)
+            row = self._rows[a] = self._row(
+                [[*range(c, m), *range(c)] for c, m in zip(self.els[a], self._factors)])
         return row
 
     def closure(self, gens) -> list[int]:
@@ -282,11 +292,21 @@ class GroupIndex:
 
     @cached_property
     def add(self) -> np.ndarray:
-        """add[i, j] is the index of els[i] + els[j]."""
-        table = np.empty((self.n, self.n), dtype=self._dtype)
-        for i in range(self.n):
-            table[i] = self._encode(self.residues + self.residues[i])
-        return table
+        """add[i, j] is the index of els[i] + els[j].
+
+        Built one factor at a time: with G = H + Z_m and i = h * m + x,
+        the entry for (h, x) + (h', x') is addH[h, h'] * m + (x + x') % m.
+        """
+        import numpy as np
+
+        table = np.zeros((1, 1), dtype=np.int32)
+        for m in self._factors:
+            x = np.arange(m, dtype=np.int32)
+            k = len(table)
+            step = np.add.outer(x, x) % m
+            table = (table[:, None, :, None] * m
+                     + step[None, :, None, :]).reshape(k * m, k * m)
+        return table.astype(self._typecode)
 
     @cached_property
     def diff(self) -> np.ndarray:

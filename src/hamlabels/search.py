@@ -14,6 +14,9 @@ translation rows ``GroupIndex.shift`` caches, one per element asked for,
 and never build an n x n table.  Neither do the rainbow searches: they
 read edge labels from the same rows and pick each vertex's candidates
 from a bitmask, the free vertices minus a translate of the used labels.
+Only the scan computes with arrays, and its functions import numpy
+themselves, so importing this module, the Cayley searches and the
+rainbow searches leave numpy unloaded.
 
 Budgets are node counts, never wall time, so results are reproducible:
 None or a positive int, anything else is a ValueError before any search.
@@ -31,12 +34,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .expectation import format_rational
 from .groups import Element, GroupSpec, _check_count, _element_set, span
 from .trails import Trail, sum_labels, trail_to_json_dict
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MAX_SCAN_ORDER",
@@ -165,6 +170,8 @@ def _lex_permutations(m: int) -> np.ndarray:
     """Every permutation of range(m) as a read-only int8 array, one per row,
     in lexicographic order: for each first element i in turn, the
     (m-1)-table with entries >= i shifted up by one."""
+    import numpy as np
+
     if m == 0:
         table = np.zeros((1, 0), dtype=np.int8)
     else:
@@ -185,6 +192,8 @@ def _tail_edge_pairs(m: int) -> np.ndarray:
     edges 2j and 2j + 1 of every row.  Edge u -> v is e = u * (m + 1) + v,
     a pair e, f is e * (m + 1)**2 + f, and an odd count repeats the last
     edge, which an OR absorbs.  int16 holds every pair while m <= 12."""
+    import numpy as np
+
     t = _lex_permutations(m)
     ends = np.full((len(t), 1), m, dtype=np.int16)
     walk = np.hstack([ends, t, ends])
@@ -199,6 +208,8 @@ def _tail_edge_pairs(m: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _popcounts(n: int) -> np.ndarray:
     """The number of set bits of every n-bit mask, as a read-only int8 array."""
+    import numpy as np
+
     table = np.zeros(1, dtype=np.int8)
     for _ in range(n):
         table = np.concatenate([table, table + 1])
@@ -214,6 +225,8 @@ _SUM_BIT = 16
 def _label_masks(G: GroupSpec) -> np.ndarray:
     """The n x n int32 table whose entry for the edge i -> j has bit l set
     for its diff label l and bit ``_SUM_BIT`` + l for its sum label l."""
+    import numpy as np
+
     gi = G.indexed
     return (np.left_shift(1, gi.diff, dtype=np.int32)
             | np.left_shift(1 << _SUM_BIT, gi.add, dtype=np.int32))
@@ -225,6 +238,8 @@ def _block_counts(n: int, head: tuple[int, ...],
     other vertices in each order of ``_lex_permutations``: the set bits of
     the OR of the edges' ``_label_masks``, the tail's gathered two at a
     time from the ORs of every two entries of the block's small table."""
+    import numpy as np
+
     path = (0, *head)
     rest = [k for k in range(1, n) if k not in head]
     tail = labels[np.ix_(rest + [head[-1]], rest + [0])].ravel()
@@ -255,6 +270,8 @@ def extremal_scan(G: GroupSpec, *, threads: int = 1) -> ExtremalReport:
     first cycle reaching it and the report never depends on the thread
     count.
     """
+    import numpy as np
+
     n = G.order
     _check_scan_order(n)
     _check_count("threads", threads)
@@ -470,7 +487,7 @@ def _cayley_neighbours(G: GroupSpec, S: frozenset[Element]) -> list[list[int]]:
     if not S:
         return [[] for _ in range(gi.n)]
     # the index of s - g for every g, from the cached translation by s
-    minus = [np.asarray(gi.shift(gi.index[s]))[gi.neg].tolist() for s in S]
+    minus = [[row[j] for j in gi.neg] for row in (gi.shift(gi.index[s]) for s in S)]
     return [sorted(j for j in col if j != i) for i, col in enumerate(zip(*minus))]
 
 
@@ -685,7 +702,7 @@ def minimum_connection_size(G: GroupSpec, *,
     gi = G.indexed
     els = gi.els
     # the translate of every element by each nonzero element of 2G
-    translates = [gi.shift(h) for h in set(gi.double.tolist()) if h]
+    translates = [gi.shift(h) for h in set(gi.double) if h]
 
     def is_canonical(idx_tuple: tuple[int, ...]) -> bool:
         # no translate may sort below the set itself

@@ -75,8 +75,12 @@ def test_groupspec_rejects_broken_chain():
         GroupSpec((1, 2))
 
 
-@pytest.mark.parametrize("bad", [(4.0,), ("4",), (2.5,), (True,)],
-                         ids=["integral_float", "str", "float", "bool"])
+# numpy 2.x already raises TypeError from operator.index(np.True_); the
+# explicit numpy bool check matters only at the declared numpy 1.24 floor
+@pytest.mark.parametrize("bad", [(4.0,), ("4",), (2.5,), (True,), (np.True_,),
+                                 (np.bool_(False),)],
+                         ids=["integral_float", "str", "float", "bool", "np_true",
+                              "np_false"])
 def test_groupspec_rejects_non_integer_factors(bad):
     with pytest.raises(ValueError):
         GroupSpec(bad)
@@ -87,7 +91,8 @@ def test_groupspec_stores_integer_like_factors_as_int():
     assert G == group(6) and type(G.invariant_factors[0]) is int
 
 
-@pytest.mark.parametrize("bad", [4.0, True, "4"], ids=["integral_float", "bool", "str"])
+@pytest.mark.parametrize("bad", [4.0, True, "4", np.True_],
+                         ids=["integral_float", "bool", "str", "np_true"])
 def test_group_rejects_non_integer_factors(bad):
     with pytest.raises(ValueError, match="integers"):
         group(bad)

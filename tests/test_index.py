@@ -1,5 +1,7 @@
 """The integer-index group core: vectors and tables against tuple arithmetic."""
 
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,27 @@ from hamlabels.search import _cayley_neighbours
 from oracles import raw_add, raw_elements
 
 SMALL_GROUPS = abelian_groups_in_range(1, 64)
+
+
+def test_index_rows_match_a_numpy_encoding():
+    # neg, double and every shift row against the vectorized mixed-radix
+    # encoding: coordinates reduced factor-wise, dotted with the strides
+    groups = [*abelian_groups_in_range(1, 200), group(*[2] * 7), group(3, 3, 3, 3),
+              group(2, 4, 8)]
+    for G in groups:
+        gi = G.indexed
+        fs = G.invariant_factors
+        coords = np.array(gi.els, dtype=np.int64).reshape(gi.n, len(fs))
+        moduli = np.array(fs, dtype=np.int64)
+        strides = np.array([prod(fs[k + 1:]) for k in range(len(fs))], dtype=np.int64)
+
+        def encode(c):
+            return (c % moduli) @ strides
+
+        assert np.array_equal(gi.neg, encode(-coords)), G
+        assert np.array_equal(gi.double, encode(2 * coords)), G
+        shifts = np.array([gi.shift(a) for a in range(gi.n)])
+        assert np.array_equal(shifts, encode(coords[:, None] + coords[None, :])), G
 
 
 @settings(max_examples=40, deadline=None)
