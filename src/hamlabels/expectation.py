@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import factorial
-from typing import TYPE_CHECKING
 
 from .groups import (
     Element,
@@ -32,9 +31,6 @@ from .groups import (
     _element_set,
     span,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "McEstimate",
@@ -53,6 +49,10 @@ __all__ = [
 RESIDUAL_BOUND = 2.0
 
 _MC_SHARD = 4096
+# a shard is shuffled and counted in blocks of about this many vertices,
+# 256 KB per pointer-sized array: smaller blocks spend more time in Python
+# per trial, larger ones more memory and more cache misses
+_MC_BLOCK = 1 << 15
 
 
 def format_rational(q: Fraction) -> str:
@@ -170,27 +170,6 @@ def _residual(exact: Fraction, n: int, digits: int = 12) -> Decimal:
         return +val
 
 
-def _cycle_edges(verts: np.ndarray, n: int) -> np.ndarray:
-    """The flat index v * n + w of every edge v -> w of each row of vertex
-    indices, read as a cycle: the last edge returns to the row's first
-    vertex.  The result indexes an n x n label table read flat."""
-    import numpy as np
-
-    # int16 holds every flat index while n * n <= 2**15
-    edges = np.multiply(verts, n, dtype=np.int16 if n * n <= 1 << 15 else np.int64)
-    edges[:, :-1] += verts[:, 1:]
-    edges[:, -1] += verts[:, 0]
-    return edges
-
-
-def _distinct_per_row(labels: np.ndarray) -> np.ndarray:
-    """The number of distinct values in each row of a label array."""
-    import numpy as np
-
-    srt = np.sort(labels, axis=1)
-    return (np.diff(srt, axis=1) != 0).sum(axis=1) + 1
-
-
 @dataclass(frozen=True)
 class McEstimate:
     mean: float
@@ -207,6 +186,12 @@ def monte_carlo_estimate(G: GroupSpec, mode: str, trials: int, seed: int) -> McE
     i drawing from a counter-based Philox stream keyed by (seed, i) and
     shuffled by numpy's Fisher-Yates (Generator.permuted), so results are
     identical across platforms and independent of any worker scheduling.
+    A shard is shuffled in blocks of rows, one ``permuted`` call each on
+    the shard's one generator.  ``permuted`` shuffles rows in order, and
+    each row takes the same draws whatever its dtype and however many rows
+    share the call, so the blocks consume the stream exactly as one call
+    on the whole shard does.  The rows are pointer-sized because numpy's
+    shuffle has a fast path for that item size only.
     Per-trial counts are integers, so the accumulated moments are exact.
     ``trials`` must be a positive int and ``seed`` an int (a bool is
     neither); anything else is a ValueError before the first shard.
@@ -221,9 +206,18 @@ def monte_carlo_estimate(G: GroupSpec, mode: str, trials: int, seed: int) -> McE
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if mode not in ("sum", "diff"):
         raise ValueError(f"mode must be 'sum' or 'diff', got {mode!r}")
-    # read by indexing the flat table, not by take: take copies the whole
-    # int16 edge index to intp first, which raises a shard's peak memory
     flat = (G.indexed.add if mode == "sum" else G.indexed.diff).reshape(-1)
+    rows = min(_MC_SHARD, trials, max(1, _MC_BLOCK // n))
+    tail = np.arange(1, n, dtype=np.intp)
+    # row r of a block marks its labels in row r of ``seen``, read flat
+    offsets = np.arange(0, rows * n, n, dtype=np.intp)[:, None]
+    # every block reuses these buffers (fresh ones cost a page fault per
+    # 4 KB); each row of verts is 0, perm, 0, so edge j runs from verts[j]
+    # to verts[j + 1] and the last one back to vertex 0
+    verts = np.zeros((rows, n + 1), dtype=np.intp)
+    edges = np.empty((rows, n), dtype=np.intp)
+    labels = np.empty((rows, n), dtype=flat.dtype)
+    seen = np.empty((rows, n), dtype=bool)
     total = 0
     total_sq = 0
     done = 0
@@ -233,15 +227,17 @@ def monte_carlo_estimate(G: GroupSpec, mode: str, trials: int, seed: int) -> McE
         rng = np.random.Generator(
             np.random.Philox(key=np.array([seed % 2**64, shard], dtype=np.uint64))
         )
-        perms = rng.permuted(
-            np.tile(np.arange(1, n, dtype=np.int16), (k, 1)), axis=1
-        )
-        verts = np.concatenate(
-            [np.zeros((k, 1), dtype=np.int16), perms], axis=1
-        )
-        counts = _distinct_per_row(flat[_cycle_edges(verts, n)])
-        total += int(counts.sum())
-        total_sq += int((counts.astype(np.int64) ** 2).sum())
+        for r in (min(rows, k - i) for i in range(0, k, rows)):
+            v, e, s = verts[:r], edges[:r], seen[:r]
+            rng.permuted(np.broadcast_to(tail, (r, n - 1)), axis=1, out=v[:, 1:n])
+            np.multiply(v[:, :-1], n, out=e)
+            e += v[:, 1:]
+            np.add(flat.take(e, out=labels[:r]), offsets[:r], out=e)
+            s.fill(False)
+            s.reshape(-1)[e] = True
+            counts = np.count_nonzero(s, axis=1)
+            total += int(counts.sum())
+            total_sq += int((counts.astype(np.int64) ** 2).sum())
         done += k
         shard += 1
     mean = total / trials

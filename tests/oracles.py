@@ -4,14 +4,19 @@ Everything here works on raw residue tuples with its own modular
 arithmetic, deliberately avoiding the package's group machinery so the
 two sides of each comparison stay independent.  The two subset-count
 formulas after the oracles are the terms the expectation tests spell
-their inclusion-exclusion double sums from.  ``trail_from_json_dict``,
+their inclusion-exclusion double sums from.  ``raw_monte_carlo`` replays
+the Monte Carlo stream with one int16 shuffle per whole shard and a sort
+count, on a label table built from the tuples.  ``trail_from_json_dict``,
 at the end, is the reader of the package's JSON trail form: only the
 tests read a trail back.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 from math import comb
+
+import numpy as np
 
 from hamlabels import GroupSpec, Trail
 
@@ -198,6 +203,57 @@ def raw_rainbow_search(factors, kind, budget=None):
     except _OutOfBudget:
         return "exhausted", nodes, None
     return ("found", nodes, tuple(path)) if found else ("nonexistent", nodes, None)
+
+
+def cycle_edges(verts, n):
+    """The flat index v * n + w of every edge v -> w of each row of vertex
+    indices, read as a cycle: the last edge returns to the row's first
+    vertex.  The result indexes an n x n label table read flat."""
+    # int16 holds every flat index while n * n <= 2**15
+    edges = np.multiply(verts, n, dtype=np.int16 if n * n <= 1 << 15 else np.int64)
+    edges[:, :-1] += verts[:, 1:]
+    edges[:, -1] += verts[:, 0]
+    return edges
+
+
+def distinct_per_row(labels):
+    """The number of distinct values in each row of a label array."""
+    srt = np.sort(labels, axis=1)
+    return (np.diff(srt, axis=1) != 0).sum(axis=1) + 1
+
+
+@functools.lru_cache(maxsize=None)
+def _raw_label_table(factors, mode):
+    """table[i, j] numbers the label of edge els[i] -> els[j], els in
+    lexicographic order: only equality of labels matters to a count."""
+    els = raw_elements(factors)
+    index = {a: i for i, a in enumerate(els)}
+    op = raw_add if mode == "sum" else lambda f, a, b: raw_sub(f, b, a)
+    return np.array([[index[op(factors, a, b)] for b in els] for a in els])
+
+
+def raw_monte_carlo(G, mode, trials, seed):
+    """(mean, std_error) of the distinct-label count over ``trials`` cycles:
+    shard i tiles the int16 vertices 1..n-1 into one array, shuffles every
+    row with one ``permuted`` call on Philox keyed by (seed, i), prepends
+    vertex 0 and counts each row's sorted labels.  Shards hold 4096 trials."""
+    n = G.order
+    flat = _raw_label_table(G.invariant_factors, mode).reshape(-1)
+    total = total_sq = 0
+    for shard, done in enumerate(range(0, trials, 4096)):
+        k = min(4096, trials - done)
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([seed % 2**64, shard], dtype=np.uint64)))
+        perms = rng.permuted(np.tile(np.arange(1, n, dtype=np.int16), (k, 1)), axis=1)
+        verts = np.concatenate([np.zeros((k, 1), dtype=np.int16), perms], axis=1)
+        counts = distinct_per_row(flat[cycle_edges(verts, n)])
+        total += int(counts.sum())
+        total_sq += int((counts.astype(np.int64) ** 2).sum())
+    mean = total / trials
+    if trials == 1:
+        return mean, 0.0
+    var = (total_sq - total * total / trials) / (trials - 1)
+    return mean, (max(var, 0.0) / trials) ** 0.5
 
 
 def diff_free_subset_count(n: int, d: int, j: int) -> int:

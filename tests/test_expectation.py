@@ -1,6 +1,7 @@
 """Exact expectation formulas against enumeration, plus the Monte Carlo estimator."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 
@@ -17,6 +18,7 @@ from hamlabels import (
 )
 from hamlabels.expectation import (
     RESIDUAL_BOUND,
+    McEstimate,
     _cycles_containing_diff,
     _cycles_containing_sum,
     _off_by_one_free_cycles,
@@ -26,6 +28,7 @@ from oracles import (
     diff_free_subset_count,
     raw_constrained_cycle_count,
     raw_cycles_containing_diff,
+    raw_monte_carlo,
     raw_order,
     raw_scan,
     raw_subsets_without_coset,
@@ -240,6 +243,42 @@ def test_monte_carlo_close_to_exact_value():
     est = monte_carlo_estimate(group(2, 4), "diff", 50_000, seed=11)
     exact = float(expected_distinct_diffs(group(2, 4)))
     assert abs(est.mean - exact) <= 4 * est.std_error
+
+
+def test_monte_carlo_replays_the_whole_shard_stream():
+    # one shard, two shards, and a partial shard after full ones, on seeds
+    # that wrap modulo 2**64 from both sides
+    for G in abelian_groups_in_range(3, 24):
+        for mode in ("sum", "diff"):
+            for trials in (1, 1025, 4097):
+                for seed in (0, -5, 2**64 + 3):
+                    est = monte_carlo_estimate(G, mode, trials, seed)
+                    want = raw_monte_carlo(G, mode, trials, seed)
+                    assert (est.mean, est.std_error) == want, (G, mode, trials, seed)
+
+
+@pytest.mark.parametrize("factors, mode, trials, seed, mean, std_error", [
+    # n * n > 2**15: the flat edge index no longer fits int16
+    ((200,), "diff", 4097, 0, 126.18818647791066, 0.06940475174447036),
+    ((2, 2, 32), "sum", 5000, 7, 81.111, 0.04907929864526473),
+    ((128,), "diff", 1, 2**64 + 3, 77.0, 0.0),
+])
+def test_monte_carlo_pinned_estimates(factors, mode, trials, seed, mean, std_error):
+    assert monte_carlo_estimate(group(*factors), mode, trials, seed) == McEstimate(
+        mean=mean, std_error=std_error, trials=trials, seed=seed)
+
+
+def test_monte_carlo_works_in_row_blocks():
+    # a kernel holding a whole shard of pointer-sized rows peaks above 20 MB
+    G = group(400)
+    G.indexed.diff
+    tracemalloc.start()
+    try:
+        monte_carlo_estimate(G, "diff", 5000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000
 
 
 def test_monte_carlo_validates_input():

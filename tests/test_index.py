@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamlabels import abelian_groups_in_range, group, is_connected_cayley
-from hamlabels.expectation import _cycle_edges
 from hamlabels.search import _cayley_neighbours
 
-from oracles import raw_add, raw_elements
+from oracles import cycle_edges, raw_add, raw_elements
 
 SMALL_GROUPS = abelian_groups_in_range(1, 64)
 
@@ -104,7 +103,7 @@ def test_structural_connectivity_builds_no_table_on_large_groups():
 def test_cycle_edges_index_each_edge_and_the_closing_one(n):
     rng = np.random.default_rng(n)
     verts = np.stack([rng.permutation(n) for _ in range(4)]).astype(np.int16)
-    edges = _cycle_edges(verts, n)
+    edges = cycle_edges(verts, n)
     want = verts.astype(np.int64) * n + np.roll(verts, -1, axis=1)
     assert np.array_equal(edges, want)
     assert (edges.dtype == np.int16) == (n * n <= 2**15)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from hamlabels import search
-from hamlabels.expectation import _cycle_edges, _distinct_per_row
 from hamlabels import (
     abelian_groups_in_range,
     canonical_cycle_key,
@@ -30,7 +29,14 @@ from hamlabels import (
     sum_labels,
 )
 
-from oracles import raw_add, raw_elements, raw_rainbow_search, raw_scan
+from oracles import (
+    cycle_edges,
+    distinct_per_row,
+    raw_add,
+    raw_elements,
+    raw_rainbow_search,
+    raw_scan,
+)
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -148,10 +154,10 @@ def test_bitmask_block_counts_match_sorted_rows(block):
         for head in itertools.permutations(range(1, n), n - 1 - min(n - 2, block)):
             rest = [k for k in range(1, n) if k not in head]
             verts = np.array([(0, *head, *p) for p in itertools.permutations(rest)])
-            edges = _cycle_edges(verts, n)
+            edges = cycle_edges(verts, n)
             got = search._block_counts(n, head, labels)
             for table, counts in zip((gi.diff, gi.add), got):
-                assert np.array_equal(counts, _distinct_per_row(table.take(edges))), (G, head)
+                assert np.array_equal(counts, distinct_per_row(table.take(edges))), (G, head)
 
 
 @pytest.mark.parametrize("n", range(search.MAX_SCAN_ORDER + 1))
