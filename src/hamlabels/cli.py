@@ -33,7 +33,7 @@ from .expectation import (
     expected_distinct_diffs,
     expected_distinct_sums,
     format_rational,
-    monte_carlo_estimate,
+    monte_carlo_estimates,
 )
 from .groups import (
     GroupParseError,
@@ -213,6 +213,7 @@ def _cmd_expect(cfg: RunConfig) -> tuple[dict, int]:
             raise UsageError(f"expectations need |G| >= 3, got {G}")
     reports = []
     for G in groups:
+        mc = monte_carlo_estimates(G, cfg.mc_trials, cfg.seed) if cfg.mc_trials else None
         for mode in ("diff", "sum"):
             exact = (expected_distinct_diffs if mode == "diff"
                      else expected_distinct_sums)(G)
@@ -224,8 +225,8 @@ def _cmd_expect(cfg: RunConfig) -> tuple[dict, int]:
                 "residual": str(_residual(exact, G.order, DIGITS)),
                 "mc": None,
             }
-            if cfg.mc_trials:
-                est = monte_carlo_estimate(G, mode, cfg.mc_trials, cfg.seed)
+            if mc:
+                est = mc[mode]
                 entry["mc"] = {
                     "mean": est.mean,
                     "std_error": est.std_error,

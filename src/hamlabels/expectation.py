@@ -14,6 +14,9 @@ For sums the count depends only on the number of complementary pairs
 Everything on the exact path is big-integer/rational;
 floats only ever appear in the Monte Carlo estimator and in residual
 reports against the (1 - 1/e)|G| reference line.
+The Monte Carlo stream is keyed by seed and shard, never by the mode, so
+``monte_carlo_estimates`` shuffles each random cycle once and counts its
+differences and its sums from that one draw.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ __all__ = [
     "expected_distinct_sums",
     "asymptotic_residual",
     "monte_carlo_estimate",
+    "monte_carlo_estimates",
     "count_constrained_cycles",
     "RESIDUAL_BOUND",
     "format_rational",
@@ -196,6 +200,26 @@ def monte_carlo_estimate(G: GroupSpec, mode: str, trials: int, seed: int) -> McE
     ``trials`` must be a positive int and ``seed`` an int (a bool is
     neither); anything else is a ValueError before the first shard.
     """
+    return _monte_carlo(G, (mode,), trials, seed)[mode]
+
+
+def monte_carlo_estimates(G: GroupSpec, trials: int, seed: int) -> dict[str, McEstimate]:
+    """``monte_carlo_estimate`` for "diff" and for "sum", from one pass.
+
+    The stream is keyed by (seed, shard) and not by the mode, so both
+    estimates count the labels of the same cycles: each cycle is drawn
+    once and its differences and sums are counted from the one draw.
+    Each value equals ``monte_carlo_estimate(G, mode, trials, seed)``,
+    and the same arguments are refused with the same ValueErrors.
+    """
+    return _monte_carlo(G, ("diff", "sum"), trials, seed)
+
+
+def _monte_carlo(G: GroupSpec, modes: tuple[str, ...], trials: int,
+                 seed: int) -> dict[str, McEstimate]:
+    """The shard loop behind both entry points: each block of rows is
+    shuffled and turned into edge indices once, then its labels are
+    gathered and counted once per mode."""
     import numpy as np
 
     n = G.order
@@ -204,9 +228,11 @@ def monte_carlo_estimate(G: GroupSpec, mode: str, trials: int, seed: int) -> McE
     _check_count("trials", trials)
     if type(seed) is bool or not isinstance(seed, int):
         raise ValueError(f"seed must be an integer, got {seed!r}")
-    if mode not in ("sum", "diff"):
-        raise ValueError(f"mode must be 'sum' or 'diff', got {mode!r}")
-    flat = (G.indexed.add if mode == "sum" else G.indexed.diff).reshape(-1)
+    for mode in modes:
+        if mode not in ("sum", "diff"):
+            raise ValueError(f"mode must be 'sum' or 'diff', got {mode!r}")
+    flats = [(G.indexed.add if mode == "sum" else G.indexed.diff).reshape(-1)
+             for mode in modes]
     rows = min(_MC_SHARD, trials, max(1, _MC_BLOCK // n))
     tail = np.arange(1, n, dtype=np.intp)
     # row r of a block marks its labels in row r of ``seen``, read flat
@@ -216,10 +242,13 @@ def monte_carlo_estimate(G: GroupSpec, mode: str, trials: int, seed: int) -> McE
     # to verts[j + 1] and the last one back to vertex 0
     verts = np.zeros((rows, n + 1), dtype=np.intp)
     edges = np.empty((rows, n), dtype=np.intp)
-    labels = np.empty((rows, n), dtype=flat.dtype)
+    # one mode turns the edge index into flat label positions in place;
+    # a second mode needs the index kept in a buffer of its own
+    index = edges if len(modes) == 1 else np.empty((rows, n), dtype=np.intp)
+    labels = np.empty((rows, n), dtype=flats[0].dtype)
     seen = np.empty((rows, n), dtype=bool)
-    total = 0
-    total_sq = 0
+    total = [0] * len(modes)
+    total_sq = [0] * len(modes)
     done = 0
     shard = 0
     while done < trials:
@@ -228,18 +257,26 @@ def monte_carlo_estimate(G: GroupSpec, mode: str, trials: int, seed: int) -> McE
             np.random.Philox(key=np.array([seed % 2**64, shard], dtype=np.uint64))
         )
         for r in (min(rows, k - i) for i in range(0, k, rows)):
-            v, e, s = verts[:r], edges[:r], seen[:r]
+            v, x, e, s = verts[:r], index[:r], edges[:r], seen[:r]
             rng.permuted(np.broadcast_to(tail, (r, n - 1)), axis=1, out=v[:, 1:n])
-            np.multiply(v[:, :-1], n, out=e)
-            e += v[:, 1:]
-            np.add(flat.take(e, out=labels[:r]), offsets[:r], out=e)
-            s.fill(False)
-            s.reshape(-1)[e] = True
-            counts = np.count_nonzero(s, axis=1)
-            total += int(counts.sum())
-            total_sq += int((counts.astype(np.int64) ** 2).sum())
+            np.multiply(v[:, :-1], n, out=x)
+            x += v[:, 1:]
+            for m, flat in enumerate(flats):
+                np.add(flat.take(x, out=labels[:r]), offsets[:r], out=e)
+                s.fill(False)
+                s.reshape(-1)[e] = True
+                counts = np.count_nonzero(s, axis=1)
+                total[m] += int(counts.sum())
+                total_sq[m] += int((counts.astype(np.int64) ** 2).sum())
         done += k
         shard += 1
+    return {mode: _estimate(total[m], total_sq[m], trials, seed)
+            for m, mode in enumerate(modes)}
+
+
+def _estimate(total: int, total_sq: int, trials: int, seed: int) -> McEstimate:
+    """Mean and standard error from the exact sums of the counts and of
+    their squares."""
     mean = total / trials
     if trials > 1:
         var = (total_sq - total * total / trials) / (trials - 1)

@@ -509,20 +509,27 @@ def is_connected_cayley(G: GroupSpec, S, method: str = "structural") -> bool:
 
     structural: the subgroup H generated by S-S must be all of G, or have
     index 2 with S inside the nontrivial coset.
-    bfs: walk the component of 0 in the explicit graph.
+    bfs: walk the component of 0 in the explicit graph, the neighbours
+    of each vertex read from the translation rows by the elements of S.
     Neither builds an n x n table, so both scale to large groups.
     """
     S = _element_set(G, S)
     if method == "structural":
         return _is_connected_structural(G, S)
     if method == "bfs":
-        nbrs = _cayley_neighbours(G, S)
-        seen = {0}
+        gi = G.indexed
+        neg = gi.neg
+        # v's neighbour s - v is the translation by s of -v
+        steps = [gi.shift(gi.index[s]) for s in S]
+        seen = bytearray(gi.n)
+        seen[0] = 1
         reached = [0]
         for v in reached:  # grows while it is walked
-            for w in nbrs[v]:
-                if w not in seen:
-                    seen.add(w)
+            u = neg[v]
+            for step in steps:
+                w = step[u]
+                if not seen[w]:
+                    seen[w] = 1
                     reached.append(w)
         return len(reached) == G.order
     raise ValueError(f"unknown connectivity method {method!r}")

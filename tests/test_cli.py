@@ -195,6 +195,19 @@ def test_expect_monte_carlo_block():
         assert rep["mc"]["seed"] == 5
 
 
+def test_expect_draws_each_shard_once_for_both_modes(monkeypatch):
+    # 5000 trials are two shards; the diff and sum estimates share them
+    import numpy as np
+
+    real = np.random.Philox
+    keys = []
+    monkeypatch.setattr(np.random, "Philox",
+                        lambda *a, **kw: keys.append(kw["key"].tolist()) or real(*a, **kw))
+    code, _ = run_cli("expect", "--group", "8", "--mc-trials", "5000", "--seed", "5")
+    assert code == EXIT_PASS
+    assert keys == [[5, 0], [5, 1]]
+
+
 def test_expect_byte_determinism_including_mc():
     args = ("expect", "--group", "8", "--mc-trials", "1000", "--seed", "3")
     _, a = run_cli(*args)

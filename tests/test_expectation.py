@@ -15,6 +15,7 @@ from hamlabels import (
     expected_distinct_sums,
     group,
     monte_carlo_estimate,
+    monte_carlo_estimates,
 )
 from hamlabels.expectation import (
     RESIDUAL_BOUND,
@@ -247,14 +248,18 @@ def test_monte_carlo_close_to_exact_value():
 
 def test_monte_carlo_replays_the_whole_shard_stream():
     # one shard, two shards, and a partial shard after full ones, on seeds
-    # that wrap modulo 2**64 from both sides
+    # that wrap modulo 2**64 from both sides; the one-pass estimates of
+    # both modes equal the one-mode ones
     for G in abelian_groups_in_range(3, 24):
-        for mode in ("sum", "diff"):
-            for trials in (1, 1025, 4097):
-                for seed in (0, -5, 2**64 + 3):
+        for trials in (1, 1025, 4097):
+            for seed in (0, -5, 2**64 + 3):
+                both = monte_carlo_estimates(G, trials, seed)
+                assert list(both) == ["diff", "sum"]
+                for mode in ("sum", "diff"):
                     est = monte_carlo_estimate(G, mode, trials, seed)
                     want = raw_monte_carlo(G, mode, trials, seed)
                     assert (est.mean, est.std_error) == want, (G, mode, trials, seed)
+                    assert both[mode] == est, (G, mode, trials, seed)
 
 
 @pytest.mark.parametrize("factors, mode, trials, seed, mean, std_error", [
@@ -292,6 +297,17 @@ def test_monte_carlo_validates_input():
             monte_carlo_estimate(group(4), "sum", 10, seed=seed)
     with pytest.raises(ValueError):
         monte_carlo_estimate(group(4), "median", 10, seed=0)
+
+
+def test_monte_carlo_estimates_validate_input():
+    with pytest.raises(ValueError, match=r"\|G\| >= 3"):
+        monte_carlo_estimates(group(2), 10, seed=0)
+    for trials in (0, True, 2.5):
+        with pytest.raises(ValueError, match="trials"):
+            monte_carlo_estimates(group(4), trials, seed=0)
+    for seed in (1.5, True):
+        with pytest.raises(ValueError, match="seed"):
+            monte_carlo_estimates(group(4), 10, seed=seed)
 
 
 # -- forced-step cycle counts ------------------------------------------------------------------

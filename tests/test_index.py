@@ -81,7 +81,7 @@ def test_cayley_neighbours_match_tuple_arithmetic(G, data):
     els = G.elements()
     fs = G.invariant_factors
     S = frozenset(data.draw(st.lists(st.sampled_from(els), max_size=5)))
-    nbrs = _cayley_neighbours(G, S)  # is_hamiltonian_cayley's bit masks and bfs's lists
+    nbrs = _cayley_neighbours(G, S)  # is_hamiltonian_cayley's bit masks
     for i, g in enumerate(els):
         assert [els[j] for j in nbrs[i]] == [h for h in els
                                              if h != g and raw_add(fs, g, h) in S]
@@ -97,6 +97,17 @@ def test_structural_connectivity_builds_no_table_on_large_groups():
     assert not is_connected_cayley(G, [(2,), (4,)])  # S inside the even residues
     built = vars(gi)
     assert "add" not in built and "diff" not in built
+
+
+def test_bfs_connectivity_builds_no_table_on_large_groups():
+    for S, connected in (([(1,), (2,)], True), ([(2,), (4,)], False)):
+        G = group(100000)
+        gi = G.indexed
+        assert is_connected_cayley(G, S, "bfs") is connected
+        # only the translations by the elements of S
+        assert set(gi._rows) <= {gi.index[s] for s in S}
+        built = vars(gi)
+        assert "add" not in built and "diff" not in built
 
 
 @pytest.mark.parametrize("n", [5, 181, 182, 400])
