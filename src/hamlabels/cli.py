@@ -6,8 +6,9 @@ range ("--orders 3..10", expanding to every abelian group of each order).
 Reports are byte-deterministic for a fixed configuration: the thread
 count only changes wall time, exact rationals are printed as "p/q", and
 any decimal shown approximates a rational printed next to it.
-scan and verify refuse, before any work, an order above
-``search.MAX_SCAN_ORDER`` (13), whose scan would walk 13! cycles or more;
+scan and verify refuse, before any work (an order range by its top,
+before it is expanded), an order above ``search.MAX_SCAN_ORDER`` (13),
+which has 13! cycles or more;
 construct, expect and smin likewise check every group before the first
 build, sum or search.
 
@@ -195,6 +196,12 @@ def _cmd_construct(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def _cmd_scan(cfg: RunConfig) -> tuple[dict, int]:
+    # an order range is refused by its top before it is expanded
+    if cfg.orders:
+        try:
+            _check_scan_order(cfg.orders[1])
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     groups = _resolve_groups(cfg)
     # refuse before the first scan, so no scan runs only to be thrown away
     for G in groups:

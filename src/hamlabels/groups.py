@@ -352,6 +352,44 @@ def _mobius(n: int) -> int:
     return m
 
 
+def _automorphism_classes(G: GroupSpec) -> list[tuple[int, ...]]:
+    """The Aut(G)-orbits of the element indices, each ascending, in the
+    order of their least members (so ``(0,)`` comes first).
+
+    Two elements lie in one orbit exactly when, for each prime p, their
+    p-parts have the same heights (Kaplansky, *Infinite Abelian Groups*):
+    p^j x lies in p^k G exactly when p^j y does, for every j and k.  On
+    coordinates, with p^e_i the power of p in m_i and p^v_i that in x_i
+    (v_i <= e_i), p^j x lies in p^k G when min(k, e_i) <= j + v_i for each
+    i.  So the height of p^j x is j plus the least v_i over the
+    coordinates with e_i - v_i > j.  An element's key lists that least
+    v_i for each p and each j below the power of p in the exponent; it is
+    the entrywise min of its coordinates' keys, so no automorphism is
+    built.
+    """
+    fs = G.invariant_factors
+    n = G.order
+    exponent = fs[-1] if fs else 1
+    # one key per residue of each factor; n exceeds every v_i, so it marks
+    # "no coordinate" (p^j x has no p-part left)
+    rows = [[()] * m for m in fs]
+    for p, e in _factorize(exponent).items():
+        log = {p ** k: k for k in range(e + 1)}
+        for m, row in zip(fs, rows):
+            q = gcd(m, p ** e)
+            for c in range(m):
+                v = log[gcd(c, q)]
+                row[c] += tuple(v if log[q] - v > j else n for j in range(e))
+    # elements in index order, the last coordinate fastest
+    keys = [()]
+    for row in rows:
+        keys = [tuple(map(min, k, t)) if k else t for k in keys for t in row]
+    classes: dict[tuple, list[int]] = {}
+    for i, key in enumerate(keys):
+        classes.setdefault(key, []).append(i)
+    return [tuple(c) for c in classes.values()]
+
+
 def group(*factors: int) -> GroupSpec:
     """Build a GroupSpec from cyclic orders, canonicalizing on the way.
 

@@ -2,8 +2,10 @@
 
 Covers full Hamiltonian-cycle enumeration with exact extremal and mean
 statistics (the cycles are walked in lexicographic numpy blocks, which
-may run on threads and reduce to their extremes and totals; one merge in
-block order picks the four extremes and builds their witnesses once),
+may run on threads and reduce to their extremes and totals; only the
+blocks whose first vertex is the least of its automorphism class are
+walked, and their totals count once per member of the class; one merge
+in block order picks the four extremes and builds their witnesses once),
 backtracking witness searches for rainbow trails, addition Cayley
 graphs with connectivity and Hamiltonicity tests, and the exact minimum size of a connection set
 giving a Hamiltonian addition Cayley graph.
@@ -37,7 +39,14 @@ from math import factorial
 from typing import TYPE_CHECKING
 
 from .expectation import format_rational
-from .groups import Element, GroupSpec, _check_count, _element_set, span
+from .groups import (
+    Element,
+    GroupSpec,
+    _automorphism_classes,
+    _check_count,
+    _element_set,
+    span,
+)
 from .trails import Trail, sum_labels, trail_to_json_dict
 
 if TYPE_CHECKING:
@@ -64,9 +73,10 @@ __all__ = [
     "minimum_connection_size",
 ]
 
-# The largest order a cycle scan or enumeration starts on: order 13 walks
-# 12! cycles, about 10 s at the 50 M cycles/s measured on Z13 (one thread,
-# 2 vCPU); order 14 would walk 13!, about 2 minutes.
+# The largest order a cycle scan or enumeration starts on.  Order 13 has
+# one class of first vertices, so its scan walks 11! of its 12! cycles,
+# about 0.8 s (one thread, 2 vCPU).  Order 14 has three, so its scan would
+# walk 3 * 12! cycles, and enumerate_cycles would build 13! Trails.
 MAX_SCAN_ORDER = 13
 
 # Up to this many vertices the Hamiltonicity search runs without a budget
@@ -107,8 +117,11 @@ def _check_scan_order(n: int) -> None:
     if n < 2:
         raise ValueError(f"a cycle scan needs order >= 2, got {n}")
     if n > MAX_SCAN_ORDER:
+        # the exact count only while it fits in 64 bits: (n-1)! of a large
+        # order is slow to compute and too long to print
+        count = f" = {factorial(n - 1)}" if n <= 21 else ""
         raise ValueError(
-            f"order {n} would walk {n - 1}! = {factorial(n - 1)} cycles; "
+            f"order {n} would walk {n - 1}!{count} cycles; "
             f"the largest order scanned is {MAX_SCAN_ORDER}")
 
 
@@ -262,20 +275,36 @@ def extremal_scan(G: GroupSpec, *, threads: int = 1) -> ExtremalReport:
     cached lexicographic table, so no Python tuple is built per cycle.
     Each cycle's distinct labels are counted as the set bits of the OR of
     its edges' one-bit label masks (``_label_masks``), with no sort.
+
+    Only the heads whose first vertex is the least of its Aut(G)-class
+    (``_automorphism_classes``) are scanned.  An automorphism phi fixes 0
+    and is a bijection on sums and on differences, so it maps the cycles
+    starting 0, v onto those starting 0, phi(v) with the same counts:
+    the cycles after each member of a class have one count histogram.
+    So min and max are read off the scanned blocks, each block's totals
+    count once per member of its class, and so do its rows in the cycle
+    count, which is (|G|-1)! still.
+
     A block reduces its diff and its sum counts to the least and the
-    greatest with their first rows, and the total, on a pool of
-    ``threads`` threads when that is 2 or more (numpy releases the GIL).
-    Stacked in block order, argmin/argmax pick the first block reaching
-    each extreme, so each witness, built once after the merge, is the
-    first cycle reaching it and the report never depends on the thread
-    count.
+    greatest with their first rows, and the total, on a pool of up to
+    ``threads`` threads, one per block at most, when that is 2 or more
+    (numpy releases the GIL).  Stacked in block order, argmin/argmax pick
+    the first block reaching each extreme, so each witness, built once
+    after the merge, is the first cycle reaching it and the report never
+    depends on the thread count.  The first cycle reaching an extreme
+    starts with the least member of its class, since the automorphism
+    taking its first vertex there gives a lexicographically earlier cycle
+    with the same counts, so the skipped blocks hold no witness.
     """
     import numpy as np
 
     n = G.order
     _check_scan_order(n)
     _check_count("threads", threads)
-    heads = list(itertools.permutations(range(1, n), n - 1 - min(n - 2, _BLOCK)))
+    # the least member of each nonzero class, and the class size
+    size = {c[0]: len(c) for c in _automorphism_classes(G) if c[0]}
+    heads = [h for h in itertools.permutations(range(1, n), n - 1 - min(n - 2, _BLOCK))
+             if h[0] in size]
     table = _lex_permutations(n - 1 - len(heads[0]))
     labels = _label_masks(G)
 
@@ -286,14 +315,16 @@ def extremal_scan(G: GroupSpec, *, threads: int = 1) -> ExtremalReport:
             out += (c[lo], lo, c[hi], hi, c.sum())
         return out
 
-    if threads == 1:
+    workers = min(threads, len(heads))
+    if workers == 1:
         blocks = list(map(scan, heads))
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(scan, heads))
     # stats[b, k, :] for block b and labels k (0 diffs, 1 sums)
     stats = np.array(blocks, dtype=np.int64).reshape(len(heads), 2, 5)
-    rows = len(heads) * len(table)
+    weights = np.array([size[h[0]] for h in heads], dtype=np.int64)
+    rows = int(weights.sum()) * len(table)
     assert rows == factorial(n - 1)
     els = G.indexed.els
 
@@ -307,7 +338,7 @@ def extremal_scan(G: GroupSpec, *, threads: int = 1) -> ExtremalReport:
     best = {f"{name}_{kind}": extreme(k, pick, col)
             for k, kind in enumerate(("diffs", "sums"))
             for name, pick, col in (("min", np.argmin, 0), ("max", np.argmax, 2))}
-    totals = stats[:, :, 4].sum(axis=0).tolist()
+    totals = (weights @ stats[:, :, 4]).tolist()
     return ExtremalReport(
         group=G,
         min_distinct_diffs=best["min_diffs"][0],

@@ -205,6 +205,31 @@ def raw_rainbow_search(factors, kind, budget=None):
     return ("found", nodes, tuple(path)) if found else ("nonexistent", nodes, None)
 
 
+def raw_automorphism_orbits(factors):
+    """The orbits of Aut(G) on the element tuples, as a set of frozensets.
+
+    A homomorphism is fixed by the images g_i of the unit vectors e_i,
+    each with m_i * g_i = 0; every choice of images is tried, and the
+    bijective maps x -> sum x_i * g_i are the automorphisms.
+    """
+    els = raw_elements(factors)
+    zero = tuple(0 for _ in factors)
+
+    def scale(k, a):
+        return tuple(k * x % m for x, m in zip(a, factors))
+
+    images = [[g for g in els if scale(m, g) == zero] for m in factors]
+    orbit = {x: set() for x in els}
+    for gens in itertools.product(*images):
+        phi = [functools.reduce(functools.partial(raw_add, factors),
+                                (scale(c, g) for c, g in zip(x, gens)), zero)
+               for x in els]
+        if len(set(phi)) == len(els):
+            for x, y in zip(els, phi):
+                orbit[x].add(y)
+    return {frozenset(o) for o in orbit.values()}
+
+
 def cycle_edges(verts, n):
     """The flat index v * n + w of every edge v -> w of each row of vertex
     indices, read as a cycle: the last edge returns to the row's first

@@ -383,6 +383,26 @@ def test_order_above_the_ceiling_is_usage_error(argv, capsys, monkeypatch):
     assert "13! = 6227020800 cycles" in capsys.readouterr().err
 
 
+def test_order_far_above_the_ceiling_is_refused_in_a_short_message(capsys):
+    # (n-1)! is left out of the message, not formatted: 1999! has 5,700 digits
+    code, out = run_cli("scan", "--group", "2000")
+    err = capsys.readouterr().err
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "the largest order scanned is 13" in err and len(err.encode()) < 200
+
+
+def test_scan_refuses_a_wide_order_range_before_expanding_it(capsys, monkeypatch):
+    import hamlabels.cli as cli
+
+    ranges = []
+    real = cli.abelian_groups_in_range
+    monkeypatch.setattr(cli, "abelian_groups_in_range",
+                        lambda lo, hi: ranges.append((lo, hi)) or real(lo, hi))
+    code, out = run_cli("scan", "--orders", "3..200000")
+    assert (code, out, ranges) == (EXIT_USAGE, "", [])
+    assert "the largest order scanned is 13" in capsys.readouterr().err
+
+
 def test_scan_at_the_ceiling_needs_no_opt_in(monkeypatch):
     calls = _record_scans(monkeypatch)
     code, _ = run_cli("scan", "--group", "13")

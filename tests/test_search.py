@@ -33,6 +33,7 @@ from oracles import (
     cycle_edges,
     distinct_per_row,
     raw_add,
+    raw_automorphism_orbits,
     raw_elements,
     raw_rainbow_search,
     raw_scan,
@@ -69,6 +70,9 @@ def test_enumerate_cycles_cap():
     # refused before the first cycle is built
     with pytest.raises(ValueError, match=r"13! = 6227020800 cycles"):
         next(enumerate_cycles(group(14)))
+    # too many cycles to name: the count is left out, not formatted
+    with pytest.raises(ValueError, match=r"^order 5000 would walk 4999! cycles; the largest"):
+        next(enumerate_cycles(group(5000)))
     with pytest.raises(ValueError):
         next(enumerate_cycles(group(1)))
 
@@ -133,6 +137,70 @@ def test_scan_spanning_many_blocks_matches_one_block(monkeypatch, block):
     for threads in (1, 2):
         got = [extremal_scan(G, threads=threads).to_json_dict() for G in groups]
         assert got == want, (block, threads)
+
+
+@pytest.mark.parametrize("G", abelian_groups_in_range(2, 13),
+                         ids=lambda G: "x".join(map(str, G.invariant_factors)))
+def test_automorphism_classes_are_the_brute_force_orbits(G):
+    classes = search._automorphism_classes(G)
+    els = G.indexed.els
+    assert {frozenset(els[i] for i in c) for c in classes} == \
+        raw_automorphism_orbits(G.invariant_factors)
+    # each class ascending, the classes in the order of their least members
+    assert all(list(c) == sorted(c) for c in classes)
+    assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+    assert classes[0] == (0,)
+
+
+@pytest.mark.parametrize("order", range(3, 10))
+def test_one_class_shares_one_block_histogram(order):
+    # what lets the scan walk one first vertex per class
+    for G in abelian_groups_in_range(order, order):
+        labels = search._label_masks(G)
+        for c in search._automorphism_classes(G)[1:]:
+            hists = {tuple(tuple(np.bincount(counts, minlength=order + 1))
+                           for counts in search._block_counts(order, (v,), labels))
+                     for v in c}
+            assert len(hists) == 1, (G, c)
+
+
+def _singleton_classes(G):
+    return [(i,) for i in range(G.order)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_scan_over_every_first_vertex_matches_the_class_scan(monkeypatch, threads):
+    # with every class a singleton the scan walks all (n-1)! cycles
+    groups = [*abelian_groups_in_range(2, 10), group(11)]
+    want = [extremal_scan(G, threads=threads).to_json_dict() for G in groups]
+    monkeypatch.setattr(search, "_automorphism_classes", _singleton_classes)
+    got = [extremal_scan(G, threads=threads).to_json_dict() for G in groups]
+    assert got == want
+
+
+@pytest.mark.parametrize("fs, blocks", [((3, 3), 1), ((10,), 3)], ids=["3x3", "10"])
+def test_scan_walks_one_first_vertex_per_class(monkeypatch, fs, blocks):
+    # Z3xZ3 has one nonzero class; Z10 has three, of 4, 4 and 1 elements
+    calls = []
+    real = search._block_counts
+
+    def counted(n, head, labels):
+        calls.append(head)
+        return real(n, head, labels)
+
+    monkeypatch.setattr(search, "_block_counts", counted)
+    extremal_scan(group(*fs))
+    assert len(calls) == blocks
+
+
+def test_scan_of_one_block_starts_no_thread_pool(monkeypatch):
+    want = extremal_scan(group(3, 3)).to_json_dict()
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(search, "ThreadPoolExecutor", no_pool)
+    assert extremal_scan(group(3, 3), threads=2).to_json_dict() == want
 
 
 @pytest.mark.parametrize("m", range(9))
