@@ -415,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     flag("smin", "--budget", type=_positive_int, default=None,
          help="search budget in nodes (reproducible, not wall time)")
     flag("scan verify", "--threads", type=_positive_int, default=1,
-         help="worker threads (wall time only, never output)")
+         help="the most scan threads, no more than one per CPU and per 16 "
+              "blocks (wall time only, never output)")
     flag("expect", "--seed", type=int, default=0,
          help="seed for Monte Carlo sampling")
     flag("expect", "--mc-trials", dest="mc_trials", type=_positive_int, default=None,

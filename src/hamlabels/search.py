@@ -1,11 +1,14 @@
 """Exhaustive and pruned combinatorial search.
 
 Covers full Hamiltonian-cycle enumeration with exact extremal and mean
-statistics (the cycles are walked in lexicographic numpy blocks, which
-may run on threads and reduce to their extremes and totals; only the
-blocks whose first vertex is the least of its automorphism class are
-walked, and their totals count once per member of the class; one merge
-in block order picks the four extremes and builds their witnesses once),
+statistics (the cycles are walked in lexicographic numpy blocks, each
+row's label mask one gather from a table of suffixes ORed with its
+prefix's, and the blocks reduce to their extremes and totals, on one
+thread per CPU and per ``_BLOCKS_PER_THREAD`` blocks at most, each
+walking a contiguous run; only the blocks whose first vertex is the
+least of its automorphism class are walked, and their totals count once
+per member of the class; one merge in block order picks the four
+extremes and builds their witnesses once),
 backtracking witness searches for rainbow trails, addition Cayley
 graphs with connectivity and Hamiltonicity tests, and the exact minimum size of a connection set
 giving a Hamiltonian addition Cayley graph.
@@ -31,6 +34,7 @@ is a distinct outcome.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -75,7 +79,7 @@ __all__ = [
 
 # The largest order a cycle scan or enumeration starts on.  Order 13 has
 # one class of first vertices, so its scan walks 11! of its 12! cycles,
-# about 0.8 s (one thread, 2 vCPU).  Order 14 has three, so its scan would
+# about 0.3 s (one thread, 2 vCPU).  Order 14 has three, so its scan would
 # walk 3 * 12! cycles, and enumerate_cycles would build 13! Trails.
 MAX_SCAN_ORDER = 13
 
@@ -87,6 +91,10 @@ DEFAULT_DP_LIMIT = 16
 
 # free vertices permuted by one cached table in each block of a scan
 _BLOCK = 8
+
+# blocks of a scan per thread at least: two threads gained nothing on runs
+# of up to about 16 blocks of 8! cycles (2 vCPU)
+_BLOCKS_PER_THREAD = 16
 
 FOUND = "found"
 NONEXISTENT = "nonexistent"
@@ -198,24 +206,31 @@ def _lex_permutations(m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _tail_edge_pairs(m: int) -> np.ndarray:
-    """The m + 1 edges of each row of ``_lex_permutations(m)``, read as the
-    path from the head's last vertex (index m) through the tail back to 0
-    (index m), two to an entry: row j of the read-only intp result holds
-    edges 2j and 2j + 1 of every row.  Edge u -> v is e = u * (m + 1) + v,
-    a pair e, f is e * (m + 1)**2 + f, and an odd count repeats the last
-    edge, which an OR absorbs.  int16 holds every pair while m <= 12."""
+def _row_halves(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``_lex_permutations(m)`` split into a prefix of its first
+    L = m // 2 entries and a suffix of the other S, read as the path from
+    the head's last vertex (index m) through the row back to 0 (index m).
+
+    The rows sharing a prefix are S! consecutive ones, so row r has prefix
+    r // S!.  Row j of the first read-only intp result holds edge j of
+    every prefix, from index m through the prefix: edge u -> v is
+    u * (m + 1) + v.  The second holds each row's key
+    w * m**S + s_0 * m**(S-1) + ... + s_{S-1}, where w is the prefix's last
+    entry (index m when L = 0) and s the suffix: the index of the row's
+    last S + 1 edges in the table ``_block_counts`` builds for them."""
     import numpy as np
 
     t = _lex_permutations(m)
-    ends = np.full((len(t), 1), m, dtype=np.int16)
-    walk = np.hstack([ends, t, ends])
-    edges = walk[:, :-1] * (m + 1) + walk[:, 1:]
-    if m % 2 == 0:
-        edges = np.hstack([edges, edges[:, -1:]])
-    pairs = (edges[:, 0::2] * (m + 1) ** 2 + edges[:, 1::2]).T.astype(np.intp, order="C")
-    pairs.flags.writeable = False
-    return pairs
+    half, tail = m // 2, m - m // 2
+    walk = np.hstack([np.full((len(t), 1), m, dtype=np.intp), t])
+    prefixes = walk[::factorial(tail), :half + 1]
+    edges = np.ascontiguousarray((prefixes[:, :-1] * (m + 1) + prefixes[:, 1:]).T)
+    key = walk[:, half]
+    for col in walk.T[half + 1:]:
+        key = key * m + col
+    for a in (edges, key):
+        a.flags.writeable = False
+    return edges, key
 
 
 @lru_cache(maxsize=None)
@@ -249,19 +264,33 @@ def _block_counts(n: int, head: tuple[int, ...],
                   labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct diff and sum counts of the cycles 0, *head, then the
     other vertices in each order of ``_lex_permutations``: the set bits of
-    the OR of the edges' ``_label_masks``, the tail's gathered two at a
-    time from the ORs of every two entries of the block's small table."""
+    the OR of the edges' ``_label_masks``, met in the middle of each row
+    (Horowitz & Sahni, J. ACM 21 (1974)).  From the block's small table of
+    m + 1 rows and columns, one mask is ORed for each prefix of
+    ``_row_halves``, the head and the edges through the prefix, and one
+    for each key, the prefix's last vertex, the suffix and the edge back to
+    0; each row's mask is one gather of its key's, ORed with its
+    prefix's."""
     import numpy as np
 
     path = (0, *head)
     rest = [k for k in range(1, n) if k not in head]
-    tail = labels[np.ix_(rest + [head[-1]], rest + [0])].ravel()
-    pairs = (tail[:, None] | tail).ravel()
-    first, *others = _tail_edge_pairs(len(rest))
-    masks = pairs.take(first)
-    for row in others:
-        masks |= pairs.take(row)
-    masks |= np.bitwise_or.reduce(labels[path[:-1], path[1:]])
+    m = len(rest)
+    # small[u, v] masks the edge rest[u] -> rest[v], where u = m is the
+    # head's last vertex and v = m is 0
+    small = labels.take(rest + [head[-1]], axis=0).take(rest + [0], axis=1)
+    edges, key = _row_halves(m)
+    pre = np.bitwise_or.reduce(small.take(edges), axis=0)
+    pre |= np.bitwise_or.reduce(labels[path[:-1], path[1:]])
+    # suf[w, s_0, ..., s_{S-1}] masks the edges w -> s_0 -> ... -> s_{S-1}
+    # -> 0, one broadcast OR for each suffix vertex, from the last back:
+    # (m + 1) * m**S entries, 36,864 at m = 8
+    suf = small[:, m]
+    for _ in range(m - m // 2):
+        suf = small[:, :m, None] | suf[:m].reshape(1, m, -1)
+    masks = suf.take(key).reshape(len(pre), -1)
+    masks |= pre[:, None]
+    masks = masks.ravel()
     pop = _popcounts(n)
     return pop.take(masks & ((1 << _SUM_BIT) - 1)), pop.take(masks >> _SUM_BIT)
 
@@ -274,7 +303,8 @@ def extremal_scan(G: GroupSpec, *, threads: int = 1) -> ExtremalReport:
     (all but the last at orders up to 10), and permutes the rest by one
     cached lexicographic table, so no Python tuple is built per cycle.
     Each cycle's distinct labels are counted as the set bits of the OR of
-    its edges' one-bit label masks (``_label_masks``), with no sort.
+    its edges' one-bit label masks (``_label_masks``), with no sort; the
+    OR meets in the middle of each row (``_block_counts``).
 
     Only the heads whose first vertex is the least of its Aut(G)-class
     (``_automorphism_classes``) are scanned.  An automorphism phi fixes 0
@@ -286,15 +316,19 @@ def extremal_scan(G: GroupSpec, *, threads: int = 1) -> ExtremalReport:
     count, which is (|G|-1)! still.
 
     A block reduces its diff and its sum counts to the least and the
-    greatest with their first rows, and the total, on a pool of up to
-    ``threads`` threads, one per block at most, when that is 2 or more
-    (numpy releases the GIL).  Stacked in block order, argmin/argmax pick
-    the first block reaching each extreme, so each witness, built once
-    after the merge, is the first cycle reaching it and the report never
-    depends on the thread count.  The first cycle reaching an extreme
-    starts with the least member of its class, since the automorphism
-    taking its first vertex there gives a lexicographically earlier cycle
-    with the same counts, so the skipped blocks hold no witness.
+    greatest with their first rows, and the total.  The blocks run on up
+    to ``threads`` threads (numpy releases the GIL), but on no more than
+    one per CPU and per ``_BLOCKS_PER_THREAD`` blocks, since a thread
+    costs more than it saves on a small scan.  Each thread walks one
+    contiguous run of heads: this one the first, and a pool, started only
+    for two or more threads, the others.  Stacked in block order,
+    argmin/argmax pick the first block reaching each extreme, so each
+    witness, built once after the merge, is the first cycle reaching it
+    and the report never depends on the thread count.  The first cycle
+    reaching an extreme starts with the least member of its class, since
+    the automorphism taking its first vertex there gives a
+    lexicographically earlier cycle with the same counts, so the skipped
+    blocks hold no witness.
     """
     import numpy as np
 
@@ -308,19 +342,28 @@ def extremal_scan(G: GroupSpec, *, threads: int = 1) -> ExtremalReport:
     table = _lex_permutations(n - 1 - len(heads[0]))
     labels = _label_masks(G)
 
-    def scan(head: tuple[int, ...]) -> list:
+    def scan(run: list[tuple[int, ...]]) -> list:
         out = []
-        for c in _block_counts(n, head, labels):
-            lo, hi = c.argmin(), c.argmax()
-            out += (c[lo], lo, c[hi], hi, c.sum())
+        for head in run:
+            for c in _block_counts(n, head, labels):
+                lo, hi = c.argmin(), c.argmax()
+                # a block's total, at most 8! * 13, fits in int32
+                out += (c[lo], lo, c[hi], hi, c.sum(dtype=np.int32))
         return out
 
-    workers = min(threads, len(heads))
+    workers = max(1, min(threads, os.cpu_count() or 1,
+                         len(heads) // _BLOCKS_PER_THREAD))
     if workers == 1:
-        blocks = list(map(scan, heads))
+        blocks = scan(heads)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(scan, heads))
+        # one contiguous run of heads per worker, this thread walking the first
+        runs = [heads[len(heads) * i // workers:len(heads) * (i + 1) // workers]
+                for i in range(workers)]
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            later = [pool.submit(scan, run) for run in runs[1:]]
+            blocks = scan(runs[0])
+            for done in later:
+                blocks += done.result()
     # stats[b, k, :] for block b and labels k (0 diffs, 1 sums)
     stats = np.array(blocks, dtype=np.int64).reshape(len(heads), 2, 5)
     weights = np.array([size[h[0]] for h in heads], dtype=np.int64)

@@ -2,8 +2,11 @@
 
 import functools
 import itertools
+import os
 import random
+import threading
 import tracemalloc
+import types
 from fractions import Fraction
 from math import factorial
 
@@ -203,6 +206,85 @@ def test_scan_of_one_block_starts_no_thread_pool(monkeypatch):
     assert extremal_scan(group(3, 3), threads=2).to_json_dict() == want
 
 
+def test_scan_of_three_blocks_starts_no_thread_pool(monkeypatch):
+    # Z10 has 3 blocks, too few to pay for a second thread
+    want = extremal_scan(group(10)).to_json_dict()
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(search, "ThreadPoolExecutor", no_pool)
+    assert extremal_scan(group(10), threads=2).to_json_dict() == want
+
+
+class _InlinePool:
+    """Stands in for ThreadPoolExecutor and starts no thread: it records
+    each pool's ``max_workers`` and runs a task on the calling thread when
+    its result is read."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __call__(self, max_workers):
+        self.sizes.append(max_workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        return types.SimpleNamespace(result=functools.partial(fn, *args))
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    pool = _InlinePool()
+    monkeypatch.setattr(search, "ThreadPoolExecutor", pool)
+    return pool
+
+
+Z2xZ6 = group(2, 6)  # 5 nonzero classes, 270 blocks
+
+
+def test_scan_threads_are_bounded_by_the_cpus(inline_pool, monkeypatch):
+    want = extremal_scan(Z2xZ6).to_json_dict()
+    threads_before = threading.active_count()
+    got = extremal_scan(Z2xZ6, threads=10**6).to_json_dict()
+    assert threading.active_count() == threads_before
+    assert all(size <= (os.cpu_count() or 1) - 1 for size in inline_pool.sizes)
+    assert got == want
+    # with 8 CPUs, this thread and a pool of 7
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 8)
+    inline_pool.sizes.clear()
+    assert extremal_scan(Z2xZ6, threads=10**6).to_json_dict() == want
+    assert inline_pool.sizes == [7]
+
+
+def test_scan_at_two_threads_walks_two_runs_of_heads_in_order(inline_pool, monkeypatch):
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+    want = extremal_scan(Z2xZ6).to_json_dict()
+    walked = []
+    real = search._block_counts
+
+    def counted(n, head, labels):
+        walked.append(head)
+        return real(n, head, labels)
+
+    monkeypatch.setattr(search, "_block_counts", counted)
+    got = extremal_scan(Z2xZ6, threads=2).to_json_dict()
+    # this thread walks the first run, one pool worker the second, and the
+    # blocks are appended in head order
+    assert inline_pool.sizes == [1]
+    leaders = {c[0] for c in search._automorphism_classes(Z2xZ6)}
+    heads = [h for h in itertools.permutations(range(1, 12), 3) if h[0] in leaders]
+    assert len(heads) == 270
+    assert walked == heads
+    assert got == want
+
+
 @pytest.mark.parametrize("m", range(9))
 def test_lex_permutation_table(m):
     table = search._lex_permutations(m)
@@ -211,21 +293,57 @@ def test_lex_permutation_table(m):
     assert not table.flags.writeable
 
 
-@pytest.mark.parametrize("block", [2, 3, 8])
-def test_bitmask_block_counts_match_sorted_rows(block):
+def _check_block_against_sorted_rows(G, head):
     # the sort-based count on the rows' edge labels shares no code with the
     # bitmask kernel, and the rows come from itertools, not the cached table
+    n = G.order
+    gi = G.indexed
+    rest = [k for k in range(1, n) if k not in head]
+    verts = np.array([(0, *head, *p) for p in itertools.permutations(rest)])
+    edges = cycle_edges(verts, n)
+    got = search._block_counts(n, head, search._label_masks(G))
+    for table, counts in zip((gi.diff, gi.add), got):
+        assert np.array_equal(counts, distinct_per_row(table.take(edges))), (G, head)
+
+
+@pytest.mark.parametrize("block", [2, 3, 8])
+def test_bitmask_block_counts_match_sorted_rows(block):
     for G in abelian_groups_in_range(2, 9):
         n = G.order
-        gi = G.indexed
-        labels = search._label_masks(G)
         for head in itertools.permutations(range(1, n), n - 1 - min(n - 2, block)):
-            rest = [k for k in range(1, n) if k not in head]
-            verts = np.array([(0, *head, *p) for p in itertools.permutations(rest)])
-            edges = cycle_edges(verts, n)
-            got = search._block_counts(n, head, labels)
-            for table, counts in zip((gi.diff, gi.add), got):
-                assert np.array_equal(counts, distinct_per_row(table.take(edges))), (G, head)
+            _check_block_against_sorted_rows(G, head)
+
+
+@pytest.mark.parametrize("G, head", [
+    *((group(10), (v,)) for v in range(1, 10)),
+    (group(11), (1, 2)), (group(11), (4, 10)), (group(11), (10, 9)),
+], ids=lambda x: "x".join(map(str, getattr(x, "invariant_factors", x))))
+def test_bitmask_block_counts_match_sorted_rows_at_eight_free_vertices(G, head):
+    # the scan's own block size: 8 free vertices, a 4 + 4 split of each row
+    assert G.order - 1 - len(head) == search._BLOCK
+    _check_block_against_sorted_rows(G, head)
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_row_halves_decode_to_the_permutation_rows(m):
+    table = search._lex_permutations(m)
+    half, tail = m // 2, m - m // 2
+    edges, key = search._row_halves(m)
+    assert edges.dtype == key.dtype == np.intp
+    assert not edges.flags.writeable and not key.flags.writeable
+    # the prefixes' edges walk from index m through each prefix
+    assert edges.shape == (half, len(table) // factorial(tail))
+    src, dst = np.divmod(edges, m + 1)
+    assert (src[:1] == m).all() and np.array_equal(src[1:], dst[:-1])
+    # row r has prefix r // tail!
+    assert np.array_equal(np.repeat(dst.T, factorial(tail), axis=0), table[:, :half])
+    # each key holds the prefix's last entry (m for an empty prefix) and the
+    # suffix, as digits base m
+    k = key
+    for j in reversed(range(half, m)):
+        k, digit = np.divmod(k, m)
+        assert np.array_equal(digit, table[:, j])
+    assert np.array_equal(k, table[:, half - 1] if half else np.full(len(table), m))
 
 
 @pytest.mark.parametrize("n", range(search.MAX_SCAN_ORDER + 1))
