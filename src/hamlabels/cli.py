@@ -6,11 +6,10 @@ range ("--orders 3..10", expanding to every abelian group of each order).
 Reports are byte-deterministic for a fixed configuration: the thread
 count only changes wall time, exact rationals are printed as "p/q", and
 any decimal shown approximates a rational printed next to it.
-scan and verify refuse, before any work (an order range by its top,
-before it is expanded), an order above ``search.MAX_SCAN_ORDER`` (13),
-which has 13! cycles or more;
-construct, expect and smin likewise check every group before the first
-build, sum or search.
+construct, scan, expect and smin run the library's own domain check on
+every group before any work, and a refused group is a usage error that
+names the command and the group; scan and verify refuse an order range
+above ``search.MAX_SCAN_ORDER`` (13) by its top, before expanding it.
 
 Exit codes: 0 all pass, 1 some check failed, 2 usage error, 3 a search
 budget left an smin result inconclusive.
@@ -22,12 +21,13 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, fields
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import cache as cache_mod
+from . import search
 from .constructions import BUILDERS, ConstructionError, _require
 from .expectation import (
     _residual,
@@ -39,6 +39,7 @@ from .expectation import (
 from .groups import (
     GroupParseError,
     GroupSpec,
+    _check_order,
     _divisors,
     abelian_groups_in_range,
     parse_group,
@@ -123,7 +124,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _resolve_groups(cfg: RunConfig) -> list[GroupSpec]:
+def _resolve_groups(cfg: RunConfig,
+                    admit: Callable[[GroupSpec], None] = lambda G: None) -> list[GroupSpec]:
+    """The groups a config names, each passed to ``admit`` before any is
+    returned; a ValueError from ``admit`` becomes a UsageError."""
     out: list[GroupSpec] = []
     for desc in cfg.groups:
         try:
@@ -134,6 +138,11 @@ def _resolve_groups(cfg: RunConfig) -> list[GroupSpec]:
         out.extend(abelian_groups_in_range(*cfg.orders))
     if not out:
         raise UsageError("no groups given; use --group or --orders")
+    for G in out:
+        try:
+            admit(G)
+        except ValueError as exc:
+            raise UsageError(f"{cfg.command} {G}: {exc}") from None
     return out
 
 
@@ -171,13 +180,7 @@ def _cmd_construct(cfg: RunConfig) -> tuple[dict, int]:
         raise UsageError(
             f"unknown builder {cfg.builder!r}; choose from {sorted(BUILDERS)}"
         )
-    groups = _resolve_groups(cfg)
-    # refuse before the first build, so no trail is built only to be thrown away
-    for G in groups:
-        try:
-            _require(cfg.builder, G)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    groups = _resolve_groups(cfg, lambda G: _require(cfg.builder, G))
     build = BUILDERS[cfg.builder]
     reports = []
     for G in groups:
@@ -202,22 +205,13 @@ def _cmd_scan(cfg: RunConfig) -> tuple[dict, int]:
             _check_scan_order(cfg.orders[1])
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-    groups = _resolve_groups(cfg)
-    # refuse before the first scan, so no scan runs only to be thrown away
-    for G in groups:
-        try:
-            _check_scan_order(G.order)
-        except ValueError as exc:
-            raise UsageError(f"scan {G}: {exc}") from None
+    groups = _resolve_groups(cfg, lambda G: _check_scan_order(G.order))
     reports = [extremal_scan(G, threads=cfg.threads).to_json_dict() for G in groups]
     return {"command": "scan", "reports": reports}, EXIT_PASS
 
 
 def _cmd_expect(cfg: RunConfig) -> tuple[dict, int]:
-    groups = _resolve_groups(cfg)
-    for G in groups:
-        if G.order < 3:
-            raise UsageError(f"expectations need |G| >= 3, got {G}")
+    groups = _resolve_groups(cfg, lambda G: _check_order(G, 3))
     reports = []
     for G in groups:
         mc = monte_carlo_estimates(G, cfg.mc_trials, cfg.seed) if cfg.mc_trials else None
@@ -245,9 +239,7 @@ def _cmd_expect(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def _cmd_smin(cfg: RunConfig) -> tuple[dict, int]:
-    groups = _resolve_groups(cfg)
-    if any(G.order < 2 for G in groups):
-        raise UsageError("minimum connection size needs |G| >= 2")
+    groups = _resolve_groups(cfg, lambda G: _check_order(G, 2))
     reports = []
     code = EXIT_PASS
     for G in groups:
@@ -415,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     flag("smin", "--budget", type=_positive_int, default=None,
          help="search budget in nodes (reproducible, not wall time)")
     flag("scan verify", "--threads", type=_positive_int, default=1,
-         help="the most scan threads, no more than one per CPU and per 16 "
-              "blocks (wall time only, never output)")
+         help="the most scan threads, no more than one per CPU and per "
+              f"{search._BLOCKS_PER_THREAD} blocks (wall time only, never output)")
     flag("expect", "--seed", type=int, default=0,
          help="seed for Monte Carlo sampling")
     flag("expect", "--mc-trials", dest="mc_trials", type=_positive_int, default=None,

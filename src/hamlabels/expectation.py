@@ -30,6 +30,7 @@ from .groups import (
     Element,
     GroupSpec,
     _check_count,
+    _check_order,
     _divisors,
     _element_set,
     span,
@@ -99,9 +100,8 @@ def expected_distinct_diffs(G: GroupSpec) -> Fraction:
     >>> expected_distinct_diffs(GroupSpec((4,)))
     Fraction(7, 3)
     """
+    _check_order(G, 2)
     n = G.order
-    if n < 2:
-        raise ValueError("expectation undefined for the trivial group")
     a = _off_by_one_free_cycles(n)
     total = 0
     for d in _divisors(n):
@@ -135,9 +135,8 @@ def expected_distinct_sums(G: GroupSpec) -> Fraction:
     >>> expected_distinct_sums(GroupSpec((4,)))
     Fraction(8, 3)
     """
+    _check_order(G, 2)
     n = G.order
-    if n < 2:
-        raise ValueError("expectation undefined for the trivial group")
     if n == 2:
         # the inclusion-exclusion below divides by n - j - 1, which is 0 here
         return Fraction(1)
@@ -154,7 +153,9 @@ def asymptotic_residual(G: GroupSpec, mode: str, digits: int = 12) -> Decimal:
     """Exact expectation minus (1 - 1/e)|G|, to the given significant digits.
 
     Report-only: never feeds back into any exact computation.
+    ``digits`` must be a positive int (a bool is not one).
     """
+    _check_count("digits", digits)
     if mode == "diff":
         exact = expected_distinct_diffs(G)
     elif mode == "sum":
@@ -222,9 +223,8 @@ def _monte_carlo(G: GroupSpec, modes: tuple[str, ...], trials: int,
     gathered and counted once per mode."""
     import numpy as np
 
+    _check_order(G, 3)
     n = G.order
-    if n < 3:
-        raise ValueError("need |G| >= 3")
     _check_count("trials", trials)
     if type(seed) is bool or not isinstance(seed, int):
         raise ValueError(f"seed must be an integer, got {seed!r}")
@@ -294,6 +294,7 @@ def count_constrained_cycles(G: GroupSpec, g: Element, A) -> int:
     a fully forced coset is impossible unless A is the whole group and g
     generates it, which leaves the single cycle stepped out by g.
     """
+    (g,) = _element_set(G, [g])
     if g == G.zero():
         raise ValueError("the step element must be nonzero")
     A = _element_set(G, A)

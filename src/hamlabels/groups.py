@@ -323,6 +323,12 @@ def _check_count(name: str, value, *, or_none: bool = False) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
+def _check_order(G: GroupSpec, least: int) -> None:
+    """Refuse a group below the least order an entry point answers for."""
+    if G.order < least:
+        raise ValueError(f"need |G| >= {least}")
+
+
 def _element_set(G: GroupSpec, items) -> frozenset[Element]:
     """Outside input as a set of element tuples; ValueError on any item
     ``G.contains`` refuses.  (True,), (1.0,) and (np.int64(1),) pass the

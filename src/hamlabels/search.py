@@ -48,6 +48,7 @@ from .groups import (
     GroupSpec,
     _automorphism_classes,
     _check_count,
+    _check_order,
     _element_set,
     span,
 )
@@ -510,8 +511,7 @@ def find_rainbow_diff_path(G: GroupSpec, budget: int | None = None) -> SearchRes
     element sum is 0; that is reported as "nonexistent" after 0 nodes.
     """
     _check_count("budget", budget, or_none=True)
-    if G.order < 2:
-        raise ValueError("need |G| >= 2")
+    _check_order(G, 2)
     if G.element_sum() == G.zero():
         return SearchResult(NONEXISTENT, None, 0)
     return _rainbow_backtrack(G, (1 << G.order) - 1, sums=False, cyclic=False,
@@ -527,8 +527,7 @@ def find_rainbow_sum_cycle(G: GroupSpec, budget: int | None = None) -> SearchRes
     are reported as "nonexistent" after 0 nodes.
     """
     _check_count("budget", budget, or_none=True)
-    if G.order < 2:
-        raise ValueError("need |G| >= 2")
+    _check_order(G, 2)
     if G.element_sum() != G.zero() or G.is_elementary_abelian_2:
         return SearchResult(NONEXISTENT, None, 0)
     return _rainbow_backtrack(G, (1 << G.order) - 1, sums=True, cyclic=True,
@@ -543,8 +542,7 @@ def find_rainbow_diff_cycle_nonzero(G: GroupSpec, budget: int | None = None) -> 
     is nonzero; that is reported as "nonexistent" after 0 nodes.
     """
     _check_count("budget", budget, or_none=True)
-    if G.order < 3:
-        raise ValueError("need |G| >= 3")
+    _check_order(G, 3)
     if G.element_sum() != G.zero():
         return SearchResult(NONEXISTENT, None, 0)
     return _rainbow_backtrack(G, (1 << G.order) - 2, sums=False, cyclic=True,
@@ -689,9 +687,8 @@ def is_hamiltonian_cayley(G: GroupSpec, S, *, budget: int | None = None,
             f"dp_limit {dp_limit} exceeds {DEFAULT_DP_LIMIT}: an unbudgeted search "
             f"may visit 2^{dp_limit - 1}*{dp_limit} = {dp_limit << (dp_limit - 1)} states")
     S = _element_set(G, S)
+    _check_order(G, 2)
     n = G.order
-    if n < 2:
-        raise ValueError("need |G| >= 2")
     if n == 2:
         nz = G.elements()[1]
         if nz in S:  # the single edge doubles as a 2-cycle
@@ -725,8 +722,7 @@ def classify_small_connection_set(G: GroupSpec, S) -> bool:
     difference of its elements generates an index-2 subgroup disjoint
     from the pair.
     """
-    if G.order < 3:
-        raise ValueError("need |G| >= 3")
+    _check_order(G, 3)
     S = _element_set(G, S)
     if len(S) > 2:
         raise ValueError("rule only covers |S| <= 2")
@@ -776,9 +772,8 @@ def minimum_connection_size(G: GroupSpec, *,
     bracketing interval instead of a value.
     """
     _check_count("budget", budget, or_none=True)
+    _check_order(G, 2)
     n = G.order
-    if n < 2:
-        raise ValueError("need |G| >= 2")
     lower, upper = _size_bounds(G)
     gi = G.indexed
     els = gi.els

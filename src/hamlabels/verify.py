@@ -4,9 +4,12 @@ Each check compares a predicted value or bound against a measured one and
 yields a VerificationRecord with a pass or fail verdict.  No check runs
 under a node budget: every order verified is at most ``MAX_SCAN_ORDER``,
 where the Hamiltonicity search is exact and unbudgeted, so no verdict is
-inconclusive.  The constructions check runs every builder that
-``constructions.APPLIES`` admits for the group, in ``BUILDERS`` order, so
-a builder added to both tables is verified with no change here.
+inconclusive.  The minimum connection-set check predicts the bracket
+``search._size_bounds`` starts the search from, so it also asks every
+smaller set: a Hamiltonian one fails the record.  The constructions check
+runs every builder that ``constructions.APPLIES`` admits for the group,
+in ``BUILDERS`` order, so a builder added to both tables is verified
+with no change here.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .groups import GroupSpec, abelian_groups_in_range
 from .search import (
     ExtremalReport,
     _check_scan_order,
+    _size_bounds,
     classify_small_connection_set,
     enumerate_cycles,
     extremal_scan,
@@ -130,17 +134,17 @@ def _check_expectations(G: GroupSpec, rep: ExtremalReport) -> list[VerificationR
 
 
 def _check_min_connection(G: GroupSpec) -> list[VerificationRecord]:
-    n, r = G.order, G.rank
+    lower, upper = _size_bounds(G)
     size = minimum_connection_size(G).size
-    out = []
-    if n % 2 == 0:
-        want = r if G.invariant_factors[0] == 2 else r + 1
-        out.append(_rec("min-connection-size", G, str(want), str(size), size == want))
-    else:
-        out.append(_rec("min-connection-size", G, f"[{r + 1}..{2 * r + 1}]",
-                        str(size), r + 1 <= size <= 2 * r + 1))
-    if G.is_cyclic and n >= 3:
-        want = 2 if n % 2 == 0 else 3
+    for k in range(1, lower):
+        if any(is_hamiltonian_cayley(G, S)[0]
+               for S in itertools.combinations(G.elements(), k)):
+            size = k
+            break
+    predicted = str(lower) if lower == upper else f"[{lower}..{upper}]"
+    out = [_rec("min-connection-size", G, predicted, str(size), lower <= size <= upper)]
+    if G.is_cyclic and G.order >= 3:
+        want = 2 if G.order % 2 == 0 else 3
         out.append(_rec("min-connection-cyclic", G, str(want), str(size), size == want))
     return out
 

@@ -229,6 +229,17 @@ def test_minimum_connection_lower_bound_has_no_smaller_set():
             assert not is_hamiltonian_cayley(G, S)[0], (G, S)
 
 
+def test_min_connection_record_fails_on_a_hamiltonian_set_below_the_bracket(monkeypatch):
+    from hamlabels import verify
+
+    real = verify.is_hamiltonian_cayley
+    monkeypatch.setattr(verify, "is_hamiltonian_cayley",
+                        lambda G, S: (True, None) if len(S) == 1 else real(G, S))
+    G = group(5)
+    [rec] = [r for r in verify._check_min_connection(G) if r.check == "min-connection-size"]
+    assert (rec.predicted, rec.measured, rec.verdict) == ("[2..3]", "1", verify.FAIL)
+
+
 # the first witness of each size search: the least canonical set, and its
 # least cycle walked the other way round from 0
 MIN_CONNECTION_WITNESSES = {

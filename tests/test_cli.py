@@ -125,6 +125,18 @@ def test_construct_refuses_every_group_before_any_build(monkeypatch, capsys):
     assert "min-diff needs order >= 2, got Z1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, where", [
+    (("construct", "odd-smin", "--group", "4"), "construct Z4: "),
+    (("scan", "--group", "5", "--group", "14"), "scan Z14: "),
+    (("expect", "--group", "5", "--group", "2"), "expect Z2: "),
+    (("smin", "--group", "4", "--group", "1"), "smin Z1: "),
+], ids=["construct", "scan", "expect", "smin"])
+def test_a_refused_group_is_named_with_its_command(argv, where, capsys):
+    code, out = run_cli(*argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err.startswith(f"error: {where}")
+
+
 # -- scan ------------------------------------------------------------------------------
 
 def test_scan_json_exact_rationals():
@@ -145,6 +157,16 @@ def test_scan_csv():
     assert lines[1].startswith("Z4,4,1,1,3,2,3,6,7/3,8/3")
     # every row has the same number of cells as the header
     assert {len(l.split(",")) for l in lines} == {len(lines[0].split(","))}
+
+
+def test_threads_help_reads_the_blocks_per_thread_from_search(monkeypatch):
+    from hamlabels import search
+
+    monkeypatch.setattr(search, "_BLOCKS_PER_THREAD", 37)
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    [threads] = [a for a in sub.choices["scan"]._actions if "--threads" in a.option_strings]
+    assert "per 37 blocks" in threads.help
 
 
 def test_scan_cap_violation_is_usage_error():

@@ -210,6 +210,12 @@ def test_residual_mode_validation():
         asymptotic_residual(group(4), "mean")
 
 
+@pytest.mark.parametrize("digits", [True, 1.5], ids=repr)
+def test_residual_refuses_digits_that_are_not_a_positive_int(digits):
+    with pytest.raises(ValueError, match="digits must be a positive integer"):
+        asymptotic_residual(group(4), "diff", digits)
+
+
 def test_residual_regression_bound_through_32():
     worst = 0.0
     for G in abelian_groups_in_range(3, 32):
@@ -322,6 +328,14 @@ def test_count_constrained_cycles_examples():
 def test_count_constrained_cycles_rejects_zero_step():
     with pytest.raises(ValueError):
         count_constrained_cycles(group(4), (0,), [])
+
+
+@pytest.mark.parametrize("g, message", [([0], "nonzero"), ((0.0,), "not an element")],
+                         ids=repr)
+def test_count_constrained_cycles_validates_the_step_before_comparing_it(g, message):
+    # [0] is the zero step as a list; (0.0,) equals (0,) but is no element
+    with pytest.raises(ValueError, match=message):
+        count_constrained_cycles(group(5), g, [])
 
 
 def test_count_constrained_cycles_matches_enumeration():

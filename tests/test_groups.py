@@ -11,8 +11,17 @@ from hamlabels import (
     GroupSpec,
     abelian_groups,
     abelian_groups_in_range,
+    classify_small_connection_set,
+    expected_distinct_diffs,
+    expected_distinct_sums,
+    find_rainbow_diff_cycle_nonzero,
+    find_rainbow_diff_path,
+    find_rainbow_sum_cycle,
     group,
     invariant_factors_of,
+    is_hamiltonian_cayley,
+    minimum_connection_size,
+    monte_carlo_estimate,
     parse_group,
     span,
 )
@@ -260,3 +269,25 @@ def test_span_examples():
     assert span(G, [(1,)]) == set(G.elements())
     G = group(2, 4)
     assert span(G, [(0, 2), (1, 0)]) == {(0, 0), (0, 2), (1, 0), (1, 2)}
+
+
+# -- order floors ----------------------------------------------------------------
+
+# entry point -> (its least order, a call on a group G)
+_ORDER_FLOORS = {
+    "find_rainbow_diff_path": (2, find_rainbow_diff_path),
+    "find_rainbow_sum_cycle": (2, find_rainbow_sum_cycle),
+    "find_rainbow_diff_cycle_nonzero": (3, find_rainbow_diff_cycle_nonzero),
+    "is_hamiltonian_cayley": (2, lambda G: is_hamiltonian_cayley(G, [])),
+    "classify_small_connection_set": (3, lambda G: classify_small_connection_set(G, [])),
+    "minimum_connection_size": (2, minimum_connection_size),
+    "expected_distinct_diffs": (2, expected_distinct_diffs),
+    "expected_distinct_sums": (2, expected_distinct_sums),
+    "monte_carlo_estimate": (3, lambda G: monte_carlo_estimate(G, "diff", 10, 0)),
+}
+
+
+@pytest.mark.parametrize("least, call", _ORDER_FLOORS.values(), ids=_ORDER_FLOORS.keys())
+def test_each_entry_point_refuses_an_order_below_its_floor(least, call):
+    with pytest.raises(ValueError, match=rf"^need \|G\| >= {least}$"):
+        call(group(least - 1))
