@@ -11,7 +11,8 @@ per member of the class; one merge in block order picks the four
 extremes and builds their witnesses once),
 backtracking witness searches for rainbow trails, addition Cayley
 graphs with connectivity and Hamiltonicity tests, and the exact minimum size of a connection set
-giving a Hamiltonian addition Cayley graph.
+giving a Hamiltonian addition Cayley graph (disconnected candidates are
+dropped on their prefix's subgroup before any Hamiltonicity search).
 Hamiltonicity has one backtracking search: up to ``DEFAULT_DP_LIMIT``
 vertices it is exact and unbudgeted and remembers dead states, above it
 it is budgeted.  The Cayley graph tests and the minimum search read the
@@ -760,16 +761,60 @@ def _size_bounds(G: GroupSpec) -> tuple[int, int]:
     return lower, upper
 
 
+def _connected_subsets(G: GroupSpec, k: int):
+    """The k-subsets of indices (k >= 2) whose addition Cayley graph is
+    connected, in ``itertools.combinations`` order.
+
+    The structural test of ``_is_connected_structural``, with the subgroup
+    H' spanned by a head of k - 1 indices (their differences from the
+    first, s0) built once per head.  Adding j spans H' + <d>, with
+    d = els[j] - s0, of order |H'| * t for the least t >= 1 with t*d in
+    H'.  The set is connected when that is all of G, or half of it with
+    s0 outside: no s0 + i*d with 0 <= i < t lies in H'.
+    """
+    gi = G.indexed
+    n = gi.n
+    shift = gi.shift
+    for head in itertools.combinations(range(n - 1), k - 1):
+        s0 = head[0]
+        minus_s0 = shift(gi.neg[s0])  # index of els[x] - s0 for every x
+        sub = gi.closure(minus_s0[i] for i in head)
+        inside = bytearray(n)
+        for x in sub:
+            inside[x] = 1
+        h = len(sub)
+        for j in range(head[-1] + 1, n):
+            step = shift(minus_s0[j])  # translation by d
+            x, t = step[0], 1
+            while not inside[x]:
+                x, t = step[x], t + 1
+            size = h * t
+            if size == n:
+                yield head + (j,)
+            elif 2 * size == n:
+                x = s0
+                for _ in range(t):
+                    if inside[x]:
+                        break
+                    x = step[x]
+                else:
+                    yield head + (j,)
+
+
 def minimum_connection_size(G: GroupSpec, *,
                             budget: int | None = None) -> MinConnectionResult:
     """Least k such that some k-subset gives a Hamiltonian addition Cayley graph.
 
     Candidate sets are walked in ascending size from the rank-based lower
-    bound up to the guaranteed upper bound; within each size, sets are
-    pruned to one representative per translation orbit S -> S + h with h
-    in 2G (translating the cycle by t shifts all sums by 2t, so
-    Hamiltonicity is orbit-invariant).  Budget exhaustion yields a
-    bracketing interval instead of a value.
+    bound up to the guaranteed upper bound.  Within each size, the
+    structural connectivity test runs first, on the subgroup each set's
+    first k - 1 elements span (``_connected_subsets``), so no
+    disconnected set reaches a Hamiltonicity search.  The connected sets
+    are pruned to one representative per translation orbit S -> S + h
+    with h in 2G (translating the cycle by t shifts all sums by 2t, so
+    Hamiltonicity is orbit-invariant), and each one left goes through
+    ``is_hamiltonian_cayley``.  Budget exhaustion yields a bracketing
+    interval instead of a value.
     """
     _check_count("budget", budget, or_none=True)
     _check_order(G, 2)
@@ -786,7 +831,9 @@ def minimum_connection_size(G: GroupSpec, *,
         return not any(sorted([row[i] for i in idx_tuple]) < want for row in translates)
 
     for k in range(lower, upper + 1):
-        for idx_tuple in itertools.combinations(range(n), k):
+        candidates = (itertools.combinations(range(n), k) if k == 1
+                      else _connected_subsets(G, k))
+        for idx_tuple in candidates:
             if not is_canonical(idx_tuple):
                 continue
             subset = tuple(els[i] for i in idx_tuple)

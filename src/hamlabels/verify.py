@@ -6,10 +6,11 @@ under a node budget: every order verified is at most ``MAX_SCAN_ORDER``,
 where the Hamiltonicity search is exact and unbudgeted, so no verdict is
 inconclusive.  The minimum connection-set check predicts the bracket
 ``search._size_bounds`` starts the search from, so it also asks every
-smaller set: a Hamiltonian one fails the record.  The constructions check
-runs every builder that ``constructions.APPLIES`` admits for the group,
-in ``BUILDERS`` order, so a builder added to both tables is verified
-with no change here.
+smaller set: a Hamiltonian one fails the record.  It shares one answer
+per set with the pair-rule check, which asks the sets of size 0 to 2.
+The constructions check runs every builder that ``constructions.APPLIES``
+admits for the group, in ``BUILDERS`` order, so a builder added to both
+tables is verified with no change here.
 """
 
 from __future__ import annotations
@@ -133,12 +134,25 @@ def _check_expectations(G: GroupSpec, rep: ExtremalReport) -> list[VerificationR
     return out
 
 
-def _check_min_connection(G: GroupSpec) -> list[VerificationRecord]:
+def _hamiltonian_once(G: GroupSpec):
+    """``is_hamiltonian_cayley(G, S)[0]``, asked once per set S and then
+    answered from memory, so checks sharing it share their searches."""
+    answers: dict[frozenset, bool] = {}
+
+    def ask(S) -> bool:
+        key = frozenset(S)
+        if key not in answers:
+            answers[key] = is_hamiltonian_cayley(G, S)[0]
+        return answers[key]
+    return ask
+
+
+def _check_min_connection(G: GroupSpec, hamiltonian=None) -> list[VerificationRecord]:
+    hamiltonian = hamiltonian or _hamiltonian_once(G)
     lower, upper = _size_bounds(G)
     size = minimum_connection_size(G).size
     for k in range(1, lower):
-        if any(is_hamiltonian_cayley(G, S)[0]
-               for S in itertools.combinations(G.elements(), k)):
+        if any(hamiltonian(S) for S in itertools.combinations(G.elements(), k)):
             size = k
             break
     predicted = str(lower) if lower == upper else f"[{lower}..{upper}]"
@@ -177,13 +191,13 @@ def _check_forced_steps(G: GroupSpec) -> VerificationRecord:
                 f"{agree}/{checked} agree", agree == checked)
 
 
-def _check_pair_rule(G: GroupSpec) -> VerificationRecord:
+def _check_pair_rule(G: GroupSpec, hamiltonian) -> VerificationRecord:
     els = G.elements()
     checked = agree = 0
     for size in (0, 1, 2):
         for S in itertools.combinations(els, size):
             checked += 1
-            want, _ = is_hamiltonian_cayley(G, S)
+            want = hamiltonian(S)
             got = classify_small_connection_set(G, S)
             if want == got:
                 agree += 1
@@ -228,15 +242,16 @@ def _check_constructions(G: GroupSpec) -> VerificationRecord:
 def verify_group(G: GroupSpec, *, threads: int = 1) -> list[VerificationRecord]:
     """All checks applicable to a single group."""
     rep = extremal_scan(G, threads=threads)
+    hamiltonian = _hamiltonian_once(G)  # the two connection-set checks share sets
     records = []
     records.extend(_check_extremals(G, rep))
     records.extend(_check_expectations(G, rep))
-    records.extend(_check_min_connection(G))
+    records.extend(_check_min_connection(G, hamiltonian))
     records.append(_check_constructions(G))
     if G.order <= _CHAIN_CHECK_MAX_ORDER:
         records.append(_check_forced_steps(G))
     if G.order <= _PAIR_CHECK_MAX_ORDER:
-        records.append(_check_pair_rule(G))
+        records.append(_check_pair_rule(G, hamiltonian))
     records.append(_check_connectivity(G))
     return records
 

@@ -2,7 +2,10 @@
 
 Everything here works on raw residue tuples with its own modular
 arithmetic, deliberately avoiding the package's group machinery so the
-two sides of each comparison stay independent.  The two subset-count
+two sides of each comparison stay independent; only
+``raw_minimum_connection_size`` leaves each Hamiltonicity question to the
+package's public ``is_hamiltonian_cayley``, as it checks the candidate
+walk around it.  The two subset-count
 formulas after the oracles are the terms the expectation tests spell
 their inclusion-exclusion double sums from.  ``raw_monte_carlo`` replays
 the Monte Carlo stream with one int16 shuffle per whole shard and a sort
@@ -18,7 +21,13 @@ from math import comb
 
 import numpy as np
 
-from hamlabels import GroupSpec, Trail
+from hamlabels import (
+    GroupSpec,
+    MinConnectionResult,
+    SearchBudgetExceeded,
+    Trail,
+    is_hamiltonian_cayley,
+)
 
 
 def raw_elements(factors):
@@ -147,6 +156,30 @@ def raw_first_hamiltonian_cycle(factors, S):
         if all(raw_add(factors, verts[i], verts[(i + 1) % n]) in S for i in range(n)):
             return verts
     return None
+
+
+def raw_minimum_connection_size(G, budget=None):
+    """The least Hamiltonian connection set with no connectivity pruning:
+    every k-subset in combination order from the rank bracket up, skipping
+    a set that one of its translates by a nonzero element of 2G sorts
+    below, asked through the public ``is_hamiltonian_cayley``."""
+    factors = G.invariant_factors
+    els = raw_elements(factors)
+    doubles = {raw_add(factors, g, g) for g in els} - {els[0]}
+    r = len(factors)
+    lower = r if factors[0] == 2 else r + 1
+    upper = lower if G.order % 2 == 0 else 2 * r + 1
+    for k in range(lower, upper + 1):
+        for S in itertools.combinations(els, k):
+            if any(sorted(raw_add(factors, s, h) for s in S) < list(S) for h in doubles):
+                continue
+            try:
+                ok, cycle = is_hamiltonian_cayley(G, S, budget=budget)
+            except SearchBudgetExceeded:
+                return MinConnectionResult(G, "interval", None, k, upper, None, None)
+            if ok:
+                return MinConnectionResult(G, "exact", k, k, k, S, cycle)
+    raise AssertionError(f"no Hamiltonian connection set of size <= {upper} on {G}")
 
 
 class _OutOfBudget(Exception):

@@ -16,13 +16,15 @@ from hamlabels import (
     minimum_connection_size,
     sum_labels,
 )
+from hamlabels import search, verify
 from hamlabels.search import (
     DEFAULT_DP_LIMIT,
+    _connected_subsets,
     _hamiltonian_backtrack,
     _lowest_bit,
     _size_bounds,
 )
-from oracles import raw_first_hamiltonian_cycle
+from oracles import raw_first_hamiltonian_cycle, raw_minimum_connection_size
 
 
 @pytest.mark.parametrize("call", [
@@ -230,14 +232,27 @@ def test_minimum_connection_lower_bound_has_no_smaller_set():
 
 
 def test_min_connection_record_fails_on_a_hamiltonian_set_below_the_bracket(monkeypatch):
-    from hamlabels import verify
-
     real = verify.is_hamiltonian_cayley
     monkeypatch.setattr(verify, "is_hamiltonian_cayley",
                         lambda G, S: (True, None) if len(S) == 1 else real(G, S))
     G = group(5)
     [rec] = [r for r in verify._check_min_connection(G) if r.check == "min-connection-size"]
     assert (rec.predicted, rec.measured, rec.verdict) == ("[2..3]", "1", verify.FAIL)
+
+
+def test_verify_asks_each_connection_set_once(monkeypatch):
+    # the pair rule and the sets below the min-connection bracket overlap
+    asked = []
+    for module in (verify, search):
+        real = module.is_hamiltonian_cayley
+
+        def counted(G, S, *args, real=real, **kwargs):
+            asked.append(frozenset(S))
+            return real(G, S, *args, **kwargs)
+        monkeypatch.setattr(module, "is_hamiltonian_cayley", counted)
+    records = verify.verify_group(group(2, 2, 2))
+    assert all(r.verdict == verify.PASS for r in records)
+    assert asked and len(asked) == len(set(asked))
 
 
 # the first witness of each size search: the least canonical set, and its
@@ -275,6 +290,39 @@ def test_minimum_connection_budget_interval():
     assert res.status == "interval"
     assert res.size is None
     assert (res.lower, res.upper) == (3, 5)
+    assert res == raw_minimum_connection_size(group(3, 9), budget=2)
+
+
+@pytest.mark.parametrize("G", abelian_groups_in_range(2, 32), ids=str)
+def test_minimum_connection_matches_the_oracle(G):
+    assert minimum_connection_size(G) == raw_minimum_connection_size(G)
+
+
+def test_connected_subsets_are_the_connected_sets():
+    for G in abelian_groups_in_range(2, 12):
+        els = G.elements()
+        for k in range(2, 5):
+            got = list(_connected_subsets(G, k))
+            for method in ("structural", "bfs"):
+                want = [S for S in itertools.combinations(range(G.order), k)
+                        if is_connected_cayley(G, [els[i] for i in S], method)]
+                assert got == want, (G, k, method)
+
+
+@pytest.mark.parametrize("factors", [(2, 2, 2, 4), (2, 2, 2, 2, 2)])
+def test_minimum_connection_asks_only_the_witness(monkeypatch, factors):
+    # every disconnected set is dropped before the Hamiltonicity search,
+    # and the first connected canonical set is Hamiltonian
+    calls = []
+    real = search.is_hamiltonian_cayley
+
+    def counted(G, S, **kwargs):
+        calls.append(S)
+        return real(G, S, **kwargs)
+    monkeypatch.setattr(search, "is_hamiltonian_cayley", counted)
+    res = minimum_connection_size(group(*factors))
+    assert res.status == "exact"
+    assert calls == [res.witness_set]
 
 
 def test_hamiltonian_backtracking_deeper_than_the_recursion_limit():
