@@ -12,7 +12,8 @@ extremes and builds their witnesses once),
 backtracking witness searches for rainbow trails, addition Cayley
 graphs with connectivity and Hamiltonicity tests, and the exact minimum size of a connection set
 giving a Hamiltonian addition Cayley graph (disconnected candidates are
-dropped on their prefix's subgroup before any Hamiltonicity search).
+dropped on their prefix's subgroup before any Hamiltonicity search, and
+each set is compared only with the translates that can sort below it).
 Hamiltonicity has one backtracking search: up to ``DEFAULT_DP_LIMIT``
 vertices it is exact and unbudgeted and remembers dead states, above it
 it is budgeted.  The Cayley graph tests and the minimum search read the
@@ -20,6 +21,9 @@ translation rows ``GroupIndex.shift`` caches, one per element asked for,
 and never build an n x n table.  Neither do the rainbow searches: they
 read edge labels from the same rows and pick each vertex's candidates
 from a bitmask, the free vertices minus a translate of the used labels.
+The used labels are kept doubled (label l sets bits l and l + n), so a
+translation is one shift, plus a masked move per nonzero coordinate
+after the first: on a cyclic group the shift alone.
 Only the scan computes with arrays, and its functions import numpy
 themselves, so importing this module, the Cayley searches and the
 rainbow searches leave numpy unloaded.
@@ -401,22 +405,30 @@ def extremal_scan(G: GroupSpec, *, threads: int = 1) -> ExtremalReport:
 # rainbow witness searches
 # ---------------------------------------------------------------------------
 
-def _mask_translations(G: GroupSpec) -> list[tuple[tuple[int, int, int, int], ...]]:
-    """For each element index a, the moves that translate a vertex mask
-    (bit x for element x) by els[a].
+def _mask_translations(G: GroupSpec) -> list[tuple[int, tuple[tuple[int, int, int, int], ...]]]:
+    """For each element index a, the plan (shift, moves) that translates a
+    vertex mask (bit x for element x) by els[a], read from the doubled
+    mask ``mask | mask << n``.
 
-    The index is mixed-radix with the last coordinate fastest, so on an
-    axis of modulus m and stride s a shift by c != 0 is one masked
-    rotation: the bits whose coordinate is below m - c move up by c*s,
-    the rest down by (m - c)*s.  A move (low, up, high, down) is applied
-    as ``(mask & low) << up | (mask & high) >> down``; one is built for
-    each axis and shift, and element a gets one per nonzero coordinate.
+    The index is mixed-radix with the last coordinate fastest.  The first
+    coordinate is the slowest digit, so adding c to it adds c*n/m to every
+    index modulo n (m the first invariant factor): a rotation of the whole
+    n-bit string, which is one right shift of the doubled mask by
+    n - c*n/m.  On every other axis, of modulus m and stride s, a shift by
+    c != 0 is one masked rotation: the bits whose coordinate is below
+    m - c move up by c*s, the rest down by (m - c)*s.  A move (low, up,
+    high, down) is applied as ``(mask & low) << up | (mask & high) >> down``,
+    and its n-bit masks also drop the bits the shift leaves above bit
+    n - 1.  One move is built for each such axis and shift, and element a
+    gets one per nonzero coordinate after the first, so on a cyclic group
+    none: the shift alone translates.
     """
     n = G.order
     full = (1 << n) - 1
+    first, *others = G.invariant_factors or (1,)
+    top = stride = n // first
     axes = []
-    stride = n
-    for m in G.invariant_factors:
+    for m in others:
         stride //= m
         # bit k * stride * m set for each k, so ((1 << j * stride) - 1) *
         # blocks holds the bits whose coordinate on this axis is below j
@@ -426,7 +438,8 @@ def _mask_translations(G: GroupSpec) -> list[tuple[tuple[int, int, int, int], ..
             low = ((1 << (m - c) * stride) - 1) * blocks
             moves.append((low, c * stride, full ^ low, (m - c) * stride))
         axes.append(moves)
-    return [tuple(axes[j][c] for j, c in enumerate(a) if c) for a in G.indexed.els]
+    return [(n - a[0] * top if a else n, tuple(axes[j][c] for j, c in enumerate(a[1:]) if c))
+            for a in G.indexed.els]
 
 
 def _rainbow_backtrack(G: GroupSpec, vertices: int, sums: bool,
@@ -439,67 +452,78 @@ def _rainbow_backtrack(G: GroupSpec, vertices: int, sums: bool,
     for cycles, by translation for paths on a full group).
 
     The search keeps two bitmasks, ``free`` (vertices not yet on the
-    path) and ``used`` (labels taken so far).  Entering w, it computes
-    w's candidates once as ``free`` minus the vertices v whose edge label
-    is taken: ``used`` translated by w for differences, by -w for sums
-    (``_mask_translations``).  ``steps[d]`` holds the untried candidates
-    of ``path[d]`` and each step takes the lowest set bit, so candidates
-    are tried in ascending element order and the first witness is
-    deterministic.  Edge labels are read from the cached translation rows
-    ``GroupIndex.shift`` (w -> v is ``shift(-w)[v]``, or ``shift(w)[v]``
-    for sums), so no n x n table is built.  The stack is explicit, so the
-    depth is not bounded by the recursion limit.
+    path) and ``used`` (labels taken so far, doubled: label l sets bits l
+    and l + n, each pair built on its label's first use).  Entering w, it
+    computes w's candidates once as ``free`` minus the vertices v whose
+    edge label is taken: ``used`` translated by w for differences, by -w
+    for sums, which is one right shift of the doubled mask and a masked
+    move per other nonzero coordinate (``_mask_translations``).  ``cand``
+    holds the untried candidates of the last vertex and each step takes
+    the lowest set bit, so candidates are tried in ascending element order
+    and the first witness is deterministic.  Each step pushes the state it
+    leaves, (cand, used, free, row), and backtracking pops it back, so
+    the path itself is read off the pushed ``free`` masks only once a
+    witness is found.  Edge labels are read from the cached translation
+    rows ``GroupIndex.shift`` (w -> v is ``shift(-w)[v]``, or
+    ``shift(w)[v]`` for sums), so no n x n table is built.  The stack is
+    explicit, so the depth is not bounded by the recursion limit.
     """
     gi = G.indexed
+    n = gi.n
     shift = gi.shift
     neg = gi.neg.tolist()
     # per vertex: the element whose shift row holds its out-labels, and
-    # the moves translating the used labels onto the vertices they forbid
-    row_key = list(range(gi.n)) if sums else neg
-    moves = _mask_translations(G)
+    # the plan translating the used labels onto the vertices they forbid
+    row_key = list(range(n)) if sums else neg
+    plan = _mask_translations(G)
     if sums:
-        moves = [moves[a] for a in neg]
+        plan = [plan[a] for a in neg]
+    # each node is a distinct sequence of distinct vertices, fewer than
+    # n**n of them, so one comparison tests a budget and its absence
+    limit = n ** n if budget is None else budget
     first = (vertices & -vertices).bit_length() - 1
-    free = vertices ^ (1 << first)
+    free = cand = vertices ^ (1 << first)
     used = 0
-    path = [first]
-    steps = [free]
-    rows = [None] * gi.n
-    row = rows[first] = shift(row_key[first])  # labels of the edges leaving path[-1]
+    bits = [0] * n  # the doubled bit of each label, once used
+    stack = []
+    rows = [None] * n
+    row = rows[first] = shift(row_key[first])  # labels of the edges leaving the last vertex
     nodes = 0
     while True:
-        cand = steps[-1]
         if cand:
             low = cand & -cand
-            steps[-1] = cand ^ low
+            cand ^= low
             nodes += 1
-            if budget is not None and nodes > budget:
+            if nodes > limit:
                 return SearchResult(EXHAUSTED, None, nodes)
+            stack.append((cand, used, free, row))
             v = low.bit_length() - 1
-            used |= 1 << row[v]
+            label = row[v]
+            bit = bits[label]
+            if not bit:
+                bit = bits[label] = 1 << label | 1 << label + n
+            used |= bit
             free ^= low
-            path.append(v)
             row = rows[v]
             if row is None:
                 row = rows[v] = shift(row_key[v])
             if free:
-                forbidden = used
-                for lo, up, hi, down in moves[v]:
-                    forbidden = (forbidden & lo) << up | (forbidden & hi) >> down
-                steps.append(free & ~forbidden)
+                down, moves = plan[v]
+                forbidden = used >> down
+                for lo, up, hi, dn in moves:
+                    forbidden = (forbidden & lo) << up | (forbidden & hi) >> dn
+                cand = free & ~forbidden
                 continue
             if not cyclic or not used >> row[first] & 1:
+                # each vertex after the first is the bit its step took from free
+                frees = [entry[2] for entry in stack] + [free]
+                path = [first] + [(a ^ b).bit_length() - 1 for a, b in zip(frees, frees[1:])]
                 trail = Trail(G, tuple(gi.els[w] for w in path), cyclic=cyclic)
                 return SearchResult(FOUND, trail, nodes)
-            steps.append(0)
             continue
-        if len(path) == 1:
+        if not stack:
             return SearchResult(NONEXISTENT, None, nodes)
-        steps.pop()
-        v = path.pop()
-        free |= 1 << v
-        row = rows[path[-1]]
-        used ^= 1 << row[v]
+        cand, used, free, row = stack.pop()
 
 
 def find_rainbow_diff_path(G: GroupSpec, budget: int | None = None) -> SearchResult:
@@ -801,6 +825,40 @@ def _connected_subsets(G: GroupSpec, k: int):
                     yield head + (j,)
 
 
+def _canonical_filter(G: GroupSpec):
+    """The test that a sorted tuple of indices S is the least of its
+    translates S + h, h in 2G, that no translate sorts below it.
+
+    A translate sorts below S only if its least index is at most S[0],
+    that is if h = x - s for some s in S and some index x <= S[0]; only
+    those h are tried, once each.  On an odd order 2G = G, so the first
+    one, h = -S[0], rejects every set without 0 at once.
+    """
+    gi = G.indexed
+    shift = gi.shift
+    neg = gi.neg
+    doubles = bytearray(gi.n)
+    for h in gi.double:
+        doubles[h] = 1
+    doubles[0] = 0
+
+    def is_canonical(idx_tuple: tuple[int, ...]) -> bool:
+        want = list(idx_tuple)
+        tried = set()
+        for x in range(idx_tuple[0] + 1):
+            plus_x = shift(x)  # index of els[x] + els[y] for every y
+            for s in idx_tuple:
+                h = plus_x[neg[s]]
+                if doubles[h] and h not in tried:
+                    tried.add(h)
+                    row = shift(h)
+                    if sorted([row[i] for i in idx_tuple]) < want:
+                        return False
+        return True
+
+    return is_canonical
+
+
 def minimum_connection_size(G: GroupSpec, *,
                             budget: int | None = None) -> MinConnectionResult:
     """Least k such that some k-subset gives a Hamiltonian addition Cayley graph.
@@ -812,7 +870,9 @@ def minimum_connection_size(G: GroupSpec, *,
     disconnected set reaches a Hamiltonicity search.  The connected sets
     are pruned to one representative per translation orbit S -> S + h
     with h in 2G (translating the cycle by t shifts all sums by 2t, so
-    Hamiltonicity is orbit-invariant), and each one left goes through
+    Hamiltonicity is orbit-invariant), each set compared only with the
+    translates whose least element can fall at or below its own
+    (``_canonical_filter``), and each one left goes through
     ``is_hamiltonian_cayley``.  Budget exhaustion yields a bracketing
     interval instead of a value.
     """
@@ -820,16 +880,8 @@ def minimum_connection_size(G: GroupSpec, *,
     _check_order(G, 2)
     n = G.order
     lower, upper = _size_bounds(G)
-    gi = G.indexed
-    els = gi.els
-    # the translate of every element by each nonzero element of 2G
-    translates = [gi.shift(h) for h in set(gi.double) if h]
-
-    def is_canonical(idx_tuple: tuple[int, ...]) -> bool:
-        # no translate may sort below the set itself
-        want = list(idx_tuple)
-        return not any(sorted([row[i] for i in idx_tuple]) < want for row in translates)
-
+    els = G.indexed.els
+    is_canonical = _canonical_filter(G)
     for k in range(lower, upper + 1):
         candidates = (itertools.combinations(range(n), k) if k == 1
                       else _connected_subsets(G, k))

@@ -158,20 +158,33 @@ def raw_first_hamiltonian_cycle(factors, S):
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def _raw_doubles(factors):
+    """The nonzero elements of 2G."""
+    els = raw_elements(factors)
+    return frozenset(raw_add(factors, g, g) for g in els) - {els[0]}
+
+
+def raw_is_canonical(factors, S):
+    """Whether the sorted tuple of elements S sorts at or below each of its
+    translates by the nonzero elements of 2G, every one of them tried."""
+    return not any(sorted(raw_add(factors, s, h) for s in S) < list(S)
+                   for h in _raw_doubles(factors))
+
+
 def raw_minimum_connection_size(G, budget=None):
     """The least Hamiltonian connection set with no connectivity pruning:
     every k-subset in combination order from the rank bracket up, skipping
-    a set that one of its translates by a nonzero element of 2G sorts
-    below, asked through the public ``is_hamiltonian_cayley``."""
+    a set that ``raw_is_canonical`` refuses, asked through the public
+    ``is_hamiltonian_cayley``."""
     factors = G.invariant_factors
     els = raw_elements(factors)
-    doubles = {raw_add(factors, g, g) for g in els} - {els[0]}
     r = len(factors)
     lower = r if factors[0] == 2 else r + 1
     upper = lower if G.order % 2 == 0 else 2 * r + 1
     for k in range(lower, upper + 1):
         for S in itertools.combinations(els, k):
-            if any(sorted(raw_add(factors, s, h) for s in S) < list(S) for h in doubles):
+            if not raw_is_canonical(factors, S):
                 continue
             try:
                 ok, cycle = is_hamiltonian_cayley(G, S, budget=budget)

@@ -24,7 +24,11 @@ from hamlabels.search import (
     _lowest_bit,
     _size_bounds,
 )
-from oracles import raw_first_hamiltonian_cycle, raw_minimum_connection_size
+from oracles import (
+    raw_first_hamiltonian_cycle,
+    raw_is_canonical,
+    raw_minimum_connection_size,
+)
 
 
 @pytest.mark.parametrize("call", [
@@ -296,6 +300,23 @@ def test_minimum_connection_budget_interval():
 @pytest.mark.parametrize("G", abelian_groups_in_range(2, 32), ids=str)
 def test_minimum_connection_matches_the_oracle(G):
     assert minimum_connection_size(G) == raw_minimum_connection_size(G)
+
+
+@pytest.mark.parametrize("G", abelian_groups_in_range(2, 32), ids=str)
+def test_canonical_filter_keeps_the_oracle_sets(G):
+    # the filter tries only the translates that can sort below a set, the
+    # oracle every one; the sets are those _connected_subsets yields at the
+    # first two sizes the search walks, at most 3,000 a size, taken at an
+    # even stride so that sets not holding 0 are checked too
+    factors = G.invariant_factors
+    els = G.elements()
+    is_canonical = search._canonical_filter(G)
+    lower, upper = _size_bounds(G)
+    for k in range(max(2, lower), min(upper, lower + 1) + 1):
+        sets = list(_connected_subsets(G, k))
+        for S in sets[::-(-len(sets) // 3000)]:
+            want = raw_is_canonical(factors, tuple(els[i] for i in S))
+            assert is_canonical(S) == want, (k, S)
 
 
 def test_connected_subsets_are_the_connected_sets():

@@ -533,20 +533,23 @@ def test_rainbow_searches_walk_the_oracle_order_on_rank_three_and_more(fs):
 
 
 def test_mask_translation_matches_the_shift_rows():
-    # a wrong stride, modulus or axis order moves some bit of some mask
+    # a wrong stride, modulus or axis order moves some bit of some mask: the
+    # doubled mask shifted right, then the other axes' moves, must hold the
+    # translate in its low n bits (the walk ANDs it with the free vertices)
     for G in [*abelian_groups_in_range(1, 64), group(401)]:
         n = G.order
         gi = G.indexed
         rng = random.Random(n)
         masks = [rng.getrandbits(n) for _ in range(3)]
-        for a, moves in enumerate(search._mask_translations(G)):
+        for a, (down, moves) in enumerate(search._mask_translations(G)):
+            assert 0 < down <= n, (G, a)
             row = gi.shift(a)
             for mask in masks:
-                got = mask
-                for low, up, high, down in moves:
-                    got = (got & low) << up | (got & high) >> down
+                got = (mask | mask << n) >> down
+                for low, up, high, dn in moves:
+                    got = (got & low) << up | (got & high) >> dn
                 want = sum(1 << row[x] for x in range(n) if mask >> x & 1)
-                assert got == want, (G, a, bin(mask))
+                assert got & ((1 << n) - 1) == want, (G, a, bin(mask))
 
 
 @pytest.mark.parametrize("search_fn", RAINBOW_SEARCHES.values(), ids=RAINBOW_SEARCHES.keys())
@@ -558,9 +561,9 @@ def test_rainbow_searches_build_no_label_table(search_fn):
 
 
 def test_rainbow_search_keeps_no_copy_of_the_label_table():
-    # one cached shift row per vertex and one translation move per shift:
-    # about 0.75 MB at peak on Z401; a Python list of every row of a label
-    # table would take about 3 MB more
+    # one cached shift row per vertex, one doubled bit per label and one
+    # pushed state per level: about 0.84 MB at peak on Z401; a Python list
+    # of every row of a label table would take about 3 MB more
     G = group(401)
     tracemalloc.start()
     try:
@@ -570,6 +573,21 @@ def test_rainbow_search_keeps_no_copy_of_the_label_table():
         tracemalloc.stop()
     assert res.status == "found"
     assert peak < 1_000_000
+
+
+def test_rainbow_search_stays_small_on_a_high_rank_group():
+    # only the first axis is doubled in the used-label mask, so it stays
+    # 2n bits wide; doubling every axis would make each mask n * 2**rank
+    # bits, 8 KB here.  About 0.37 MB at peak.
+    G = group(2, 2, 2, 2, 2, 2, 2, 2)
+    tracemalloc.start()
+    try:
+        res = find_rainbow_diff_cycle_nonzero(G, budget=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _outcome(res) == ("exhausted", 2001, None)
+    assert peak < 2_000_000
 
 
 _BUDGETED_CALLS = {
