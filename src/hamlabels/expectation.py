@@ -33,7 +33,6 @@ from .groups import (
     _check_order,
     _divisors,
     _element_set,
-    span,
 )
 
 __all__ = [
@@ -299,16 +298,27 @@ def count_constrained_cycles(G: GroupSpec, g: Element, A) -> int:
         raise ValueError("the step element must be nonzero")
     A = _element_set(G, A)
     n = G.order
-    H = span(G, [g])
+    gi = G.indexed
+    index = gi.index
+    H = gi.closure([index[g]])
     if len(A) == n:
         return 1 if len(H) == n else 0
-    # does A contain a full coset of <g>?
-    seen: set[Element] = set()
+    # does A contain a full coset of <g>?  each coset is walked by steps of
+    # g along one translation row
+    step = gi.shift(index[g])
+    inside = bytearray(n)
     for a in A:
-        if a in seen:
+        inside[index[a]] = 1
+    seen = bytearray(n)
+    for a in A:
+        x = index[a]
+        if seen[x]:
             continue
-        coset = {G.add(a, h) for h in H}
-        seen |= coset
-        if coset <= A:
+        full = True
+        for _ in H:
+            seen[x] = 1
+            full = full and inside[x]
+            x = step[x]
+        if full:
             return 0
     return factorial(n - len(A) - 1)

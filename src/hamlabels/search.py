@@ -12,9 +12,13 @@ extremes and builds their witnesses once),
 backtracking witness searches for rainbow trails, addition Cayley
 graphs with connectivity and Hamiltonicity tests, and the exact minimum size of a connection set
 giving a Hamiltonian addition Cayley graph (disconnected candidates are
-dropped on their prefix's subgroup before any Hamiltonicity search, and
-each set is compared only with the translates that can sort below it).
-Hamiltonicity has one backtracking search: up to ``DEFAULT_DP_LIMIT``
+dropped on their prefix's subgroup before any Hamiltonicity search, on
+odd orders only the sets holding 0 are walked, and each set is compared
+only with the translates that can sort below it).
+The Hamiltonicity test refuses a graph with a vertex of degree below 2,
+then a disconnected one, and only then builds each vertex's neighbour
+mask from the translation rows of S and searches.  The search is one
+backtracking search: up to ``DEFAULT_DP_LIMIT``
 vertices it is exact and unbudgeted and remembers dead states, above it
 it is budgeted.  The Cayley graph tests and the minimum search read the
 translation rows ``GroupIndex.shift`` caches, one per element asked for,
@@ -149,7 +153,7 @@ def enumerate_cycles(G: GroupSpec):
     _check_scan_order(G.order)
     zero, *rest = G.elements()
     for perm in itertools.permutations(rest):
-        yield Trail(G, (zero, *perm), cyclic=True)
+        yield Trail._of_elements(G, (zero, *perm), True)
 
 
 @dataclass
@@ -518,7 +522,7 @@ def _rainbow_backtrack(G: GroupSpec, vertices: int, sums: bool,
                 # each vertex after the first is the bit its step took from free
                 frees = [entry[2] for entry in stack] + [free]
                 path = [first] + [(a ^ b).bit_length() - 1 for a, b in zip(frees, frees[1:])]
-                trail = Trail(G, tuple(gi.els[w] for w in path), cyclic=cyclic)
+                trail = Trail._of_elements(G, tuple(gi.els[w] for w in path), cyclic)
                 return SearchResult(FOUND, trail, nodes)
             continue
         if not stack:
@@ -578,14 +582,30 @@ def find_rainbow_diff_cycle_nonzero(G: GroupSpec, budget: int | None = None) -> 
 # addition Cayley graphs
 # ---------------------------------------------------------------------------
 
-def _cayley_neighbours(G: GroupSpec, S: frozenset[Element]) -> list[list[int]]:
-    """nbrs[i]: the indices j != i, ascending, with els[i] + els[j] in S."""
+def _cayley_adjacency(G: GroupSpec, S: frozenset[Element]) -> list[int]:
+    """adj[i]: the mask with bit j set for each j != i with els[i] + els[j]
+    in S, read off the cached translation row of each s (j = s - els[i])."""
     gi = G.indexed
-    if not S:
-        return [[] for _ in range(gi.n)]
-    # the index of s - g for every g, from the cached translation by s
-    minus = [[row[j] for j in gi.neg] for row in (gi.shift(gi.index[s]) for s in S)]
-    return [sorted(j for j in col if j != i) for i, col in enumerate(zip(*minus))]
+    neg = gi.neg
+    adj = [0] * gi.n
+    for s in S:
+        row = gi.shift(gi.index[s])
+        for i, x in enumerate(neg):
+            j = row[x]
+            if j != i:
+                adj[i] |= 1 << j
+    return adj
+
+
+def _least_degree(G: GroupSpec, S: frozenset[Element]) -> int:
+    """The least degree of the addition Cayley graph, read off S alone.
+
+    Vertex x has one neighbour s - x for each s in S but s = 2x, so the
+    least degree is |S|, less one when S meets 2G.  An element lies in 2G
+    when its coordinate on each even factor is even.
+    """
+    fs = G.invariant_factors
+    return len(S) - any(all(c % 2 == 0 or m % 2 for c, m in zip(s, fs)) for s in S)
 
 
 def _is_connected_structural(G: GroupSpec, S: frozenset[Element]) -> bool:
@@ -700,11 +720,17 @@ def is_hamiltonian_cayley(G: GroupSpec, S, *, budget: int | None = None,
                           dp_limit: int = DEFAULT_DP_LIMIT) -> tuple[bool, Trail | None]:
     """Exact Hamiltonicity of the addition Cayley graph, with witness.
 
-    One backtracking search.  Up to ``dp_limit`` vertices it runs without
+    Two necessary tests come first, the cheaper one first: every vertex
+    needs degree at least 2 (``_least_degree``, from S alone), and then
+    the graph must be connected (the structural test).  Only a graph
+    passing both gets its neighbour masks, read off the cached translation
+    rows of the elements of S (``_cayley_adjacency``), and is searched, by
+    one backtracking search.  Up to ``dp_limit`` vertices it runs without
     a budget and remembers dead states, so it visits at most 2^(n-1)*n of
     them; beyond, it keeps no memo and raises SearchBudgetExceeded rather
     than guessing when the budget runs out.  A witness cycle C always
-    satisfies S(C) being a subset of the connection set.
+    satisfies S(C) being a subset of the connection set, which is checked
+    by tuple arithmetic, not through the index rows.
     """
     _check_count("budget", budget, or_none=True)
     if dp_limit > DEFAULT_DP_LIMIT:
@@ -719,11 +745,9 @@ def is_hamiltonian_cayley(G: GroupSpec, S, *, budget: int | None = None,
         if nz in S:  # the single edge doubles as a 2-cycle
             return True, Trail(G, (G.zero(), nz), cyclic=True)
         return False, None
-    if not _is_connected_structural(G, S):
+    if _least_degree(G, S) < 2 or not _is_connected_structural(G, S):
         return False, None
-    adj = [sum(1 << j for j in nbrs) for nbrs in _cayley_neighbours(G, S)]
-    if any(a.bit_count() < 2 for a in adj):
-        return False, None
+    adj = _cayley_adjacency(G, S)
     if n <= dp_limit:
         path = _hamiltonian_backtrack(n, adj, None, memo=True)
         if path is not None:
@@ -735,7 +759,8 @@ def is_hamiltonian_cayley(G: GroupSpec, S, *, budget: int | None = None,
     if path is None:
         return False, None
     els = G.indexed.els
-    t = Trail(G, tuple(els[i] for i in path), cyclic=True)
+    t = Trail._of_elements(G, tuple(els[i] for i in path), True)
+    # checked by tuple arithmetic, apart from the index rows adj came from
     assert set(sum_labels(t).labels) <= S
     return True, t
 
@@ -787,7 +812,11 @@ def _size_bounds(G: GroupSpec) -> tuple[int, int]:
 
 def _connected_subsets(G: GroupSpec, k: int):
     """The k-subsets of indices (k >= 2) whose addition Cayley graph is
-    connected, in ``itertools.combinations`` order.
+    connected, in ``itertools.combinations`` order; on an odd order only
+    those holding 0.  There 2G = G, so translating a set by minus its
+    least element gives a translate holding 0 that sorts below it, and
+    ``_canonical_filter`` would refuse every set without 0; so only heads
+    starting at 0 are walked.
 
     The structural test of ``_is_connected_structural``, with the subgroup
     H' spanned by a head of k - 1 indices (their differences from the
@@ -799,7 +828,10 @@ def _connected_subsets(G: GroupSpec, k: int):
     gi = G.indexed
     n = gi.n
     shift = gi.shift
-    for head in itertools.combinations(range(n - 1), k - 1):
+    heads = itertools.combinations(range(n - 1), k - 1)
+    if n % 2:
+        heads = ((0, *rest) for rest in itertools.combinations(range(1, n - 1), k - 2))
+    for head in heads:
         s0 = head[0]
         minus_s0 = shift(gi.neg[s0])  # index of els[x] - s0 for every x
         sub = gi.closure(minus_s0[i] for i in head)
@@ -867,13 +899,16 @@ def minimum_connection_size(G: GroupSpec, *,
     bound up to the guaranteed upper bound.  Within each size, the
     structural connectivity test runs first, on the subgroup each set's
     first k - 1 elements span (``_connected_subsets``), so no
-    disconnected set reaches a Hamiltonicity search.  The connected sets
+    disconnected set reaches a Hamiltonicity search; on an odd order
+    only the sets holding 0 are walked, since no other set is the least
+    of its translation orbit.  The connected sets
     are pruned to one representative per translation orbit S -> S + h
     with h in 2G (translating the cycle by t shifts all sums by 2t, so
     Hamiltonicity is orbit-invariant), each set compared only with the
     translates whose least element can fall at or below its own
     (``_canonical_filter``), and each one left goes through
-    ``is_hamiltonian_cayley``.  Budget exhaustion yields a bracketing
+    ``is_hamiltonian_cayley``, which refuses a set with a vertex of degree
+    below 2 before anything else.  Budget exhaustion yields a bracketing
     interval instead of a value.
     """
     _check_count("budget", budget, or_none=True)

@@ -43,6 +43,18 @@ class Trail:
             if not self.group.contains(v):
                 raise ValueError(f"vertex {v} is not an element of {self.group}")
 
+    @classmethod
+    def _of_elements(cls, group: GroupSpec, vertices: tuple[Element, ...],
+                     cyclic: bool) -> Trail:
+        """The Trail ``Trail(group, vertices, cyclic)`` without its checks,
+        for vertices that are distinct members of ``group.elements()``
+        already (those of ``GroupIndex.els``, each taken once)."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "group", group)
+        object.__setattr__(t, "vertices", vertices)
+        object.__setattr__(t, "cyclic", cyclic)
+        return t
+
     @property
     def kind(self) -> str:
         return "cyclic" if self.cyclic else "open"

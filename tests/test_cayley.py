@@ -305,28 +305,37 @@ def test_minimum_connection_matches_the_oracle(G):
 @pytest.mark.parametrize("G", abelian_groups_in_range(2, 32), ids=str)
 def test_canonical_filter_keeps_the_oracle_sets(G):
     # the filter tries only the translates that can sort below a set, the
-    # oracle every one; the sets are those _connected_subsets yields at the
-    # first two sizes the search walks, at most 3,000 a size, taken at an
-    # even stride so that sets not holding 0 are checked too
+    # oracle every one; the sets are the connected ones at the first two
+    # sizes the search walks, at most 3,000 a size, taken at an even
+    # stride so that sets not holding 0 are checked too.  On an odd order
+    # _connected_subsets yields only sets holding 0, so each is also taken
+    # translated by els[1]: there (2G = G) a translate of a connected set
+    # is connected, and it holds 0 only when the set holds -els[1]
     factors = G.invariant_factors
-    els = G.elements()
+    gi = G.indexed
+    els = gi.els
     is_canonical = search._canonical_filter(G)
     lower, upper = _size_bounds(G)
     for k in range(max(2, lower), min(upper, lower + 1) + 1):
         sets = list(_connected_subsets(G, k))
+        if G.order % 2:
+            sets += [tuple(sorted(gi.shift(1)[i] for i in S)) for S in sets]
         for S in sets[::-(-len(sets) // 3000)]:
             want = raw_is_canonical(factors, tuple(els[i] for i in S))
             assert is_canonical(S) == want, (k, S)
 
 
 def test_connected_subsets_are_the_connected_sets():
+    # on an odd order only the sets holding 0, the rest being translates
+    # of them that the canonical filter refuses
     for G in abelian_groups_in_range(2, 12):
         els = G.elements()
         for k in range(2, 5):
             got = list(_connected_subsets(G, k))
             for method in ("structural", "bfs"):
                 want = [S for S in itertools.combinations(range(G.order), k)
-                        if is_connected_cayley(G, [els[i] for i in S], method)]
+                        if (G.order % 2 == 0 or S[0] == 0)
+                        and is_connected_cayley(G, [els[i] for i in S], method)]
                 assert got == want, (G, k, method)
 
 

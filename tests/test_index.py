@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamlabels import abelian_groups_in_range, group, is_connected_cayley
-from hamlabels.search import _cayley_neighbours
+from hamlabels.search import _cayley_adjacency, _least_degree
 
 from oracles import cycle_edges, raw_add, raw_elements
 
@@ -77,14 +77,17 @@ def test_shift_and_closure_match_tuple_arithmetic(G, data):
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(SMALL_GROUPS), st.data())
-def test_cayley_neighbours_match_tuple_arithmetic(G, data):
+def test_cayley_adjacency_matches_tuple_arithmetic(G, data):
     els = G.elements()
     fs = G.invariant_factors
     S = frozenset(data.draw(st.lists(st.sampled_from(els), max_size=5)))
-    nbrs = _cayley_neighbours(G, S)  # is_hamiltonian_cayley's bit masks
+    adj = _cayley_adjacency(G, S)  # is_hamiltonian_cayley's bit masks
+    assert len(adj) == len(els)
     for i, g in enumerate(els):
-        assert [els[j] for j in nbrs[i]] == [h for h in els
-                                             if h != g and raw_add(fs, g, h) in S]
+        assert adj[i] == sum(1 << j for j, h in enumerate(els)
+                             if h != g and raw_add(fs, g, h) in S)
+    # the degree test, which runs before the masks are built
+    assert _least_degree(G, S) == min(a.bit_count() for a in adj)
 
 
 def test_structural_connectivity_builds_no_table_on_large_groups():

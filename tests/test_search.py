@@ -15,6 +15,7 @@ import pytest
 
 from hamlabels import search
 from hamlabels import (
+    Trail,
     abelian_groups_in_range,
     canonical_cycle_key,
     diff_labels,
@@ -513,6 +514,23 @@ def test_rainbow_node_counts_of_the_longer_searches():
     assert (cycle.status, cycle.nodes) == ("found", 44_189)
     sums = find_rainbow_sum_cycle(group(401))
     assert (sums.status, sums.nodes) == ("found", 400)
+
+
+def test_unchecked_witnesses_equal_the_checked_trails():
+    # the rainbow and Hamiltonicity searches and the enumeration build their
+    # Trails from GroupIndex.els without the Trail checks; each must equal
+    # the Trail built through them
+    witnesses = [find_rainbow_diff_path(group(18)).trail,
+                 find_rainbow_diff_cycle_nonzero(group(23)).trail,
+                 find_rainbow_sum_cycle(group(401)).trail]
+    witnesses += [minimum_connection_size(G, budget=200_000).witness_cycle
+                  for G in abelian_groups_in_range(17, 32)]
+    for G in abelian_groups_in_range(3, 10):
+        witnesses += itertools.islice(enumerate_cycles(G), 3)
+    for t in witnesses:
+        checked = Trail(t.group, t.vertices, t.cyclic)
+        assert t == checked and hash(t) == hash(checked), t
+        assert type(t.vertices) is tuple and all(type(v) is tuple for v in t.vertices)
 
 
 @pytest.mark.parametrize("fs", [(2, 2, 2, 2), (2, 2, 4), (3, 3, 3), (2, 2, 2, 2, 2)],
