@@ -16,7 +16,9 @@ floats only ever appear in the Monte Carlo estimator and in residual
 reports against the (1 - 1/e)|G| reference line.
 The Monte Carlo stream is keyed by seed and shard, never by the mode, so
 ``monte_carlo_estimates`` shuffles each random cycle once and counts its
-differences and its sums from that one draw.
+differences and its sums from that one draw.  The counts are label-major:
+label l of row r of a block is flagged at l * rows + r, so one sum over
+the labels counts every row of the block at once.
 """
 
 from __future__ import annotations
@@ -219,7 +221,17 @@ def _monte_carlo(G: GroupSpec, modes: tuple[str, ...], trials: int,
                  seed: int) -> dict[str, McEstimate]:
     """The shard loop behind both entry points: each block of rows is
     shuffled and turned into edge indices once, then its labels are
-    gathered and counted once per mode."""
+    gathered and counted once per mode.
+
+    The flags are label-major: label l of row r is marked at
+    l * rows + r of an (n, rows) table, and each row's count is one
+    ``np.add.reduce`` over axis 0, where a count along each short row
+    would cost a reduction per row.  So each label table is scaled by
+    ``rows`` once per call, and a block adds only the row's own index.
+    ``rows * n`` is at most 32768 up to order 32,768, so the largest
+    mark, n * rows - 1, fits the int16 the tables hold there.  ``take``
+    gathers into a label buffer of its own, never into its own index,
+    which would make numpy copy."""
     import numpy as np
 
     _check_order(G, 3)
@@ -230,12 +242,12 @@ def _monte_carlo(G: GroupSpec, modes: tuple[str, ...], trials: int,
     for mode in modes:
         if mode not in ("sum", "diff"):
             raise ValueError(f"mode must be 'sum' or 'diff', got {mode!r}")
-    flats = [(G.indexed.add if mode == "sum" else G.indexed.diff).reshape(-1)
-             for mode in modes]
     rows = min(_MC_SHARD, trials, max(1, _MC_BLOCK // n))
+    flats = [np.multiply(table.reshape(-1), rows, dtype=table.dtype)
+             for table in (G.indexed.add if mode == "sum" else G.indexed.diff
+                           for mode in modes)]
     tail = np.arange(1, n, dtype=np.intp)
-    # row r of a block marks its labels in row r of ``seen``, read flat
-    offsets = np.arange(0, rows * n, n, dtype=np.intp)[:, None]
+    row = np.arange(rows, dtype=np.intp)[:, None]
     # every block reuses these buffers (fresh ones cost a page fault per
     # 4 KB); each row of verts is 0, perm, 0, so edge j runs from verts[j]
     # to verts[j + 1] and the last one back to vertex 0
@@ -245,7 +257,7 @@ def _monte_carlo(G: GroupSpec, modes: tuple[str, ...], trials: int,
     # a second mode needs the index kept in a buffer of its own
     index = edges if len(modes) == 1 else np.empty((rows, n), dtype=np.intp)
     labels = np.empty((rows, n), dtype=flats[0].dtype)
-    seen = np.empty((rows, n), dtype=bool)
+    seen = np.empty((n, rows), dtype=bool)  # seen[l, r]: label l is in row r
     total = [0] * len(modes)
     total_sq = [0] * len(modes)
     done = 0
@@ -256,15 +268,15 @@ def _monte_carlo(G: GroupSpec, modes: tuple[str, ...], trials: int,
             np.random.Philox(key=np.array([seed % 2**64, shard], dtype=np.uint64))
         )
         for r in (min(rows, k - i) for i in range(0, k, rows)):
-            v, x, e, s = verts[:r], index[:r], edges[:r], seen[:r]
+            v, x, e = verts[:r], index[:r], edges[:r]
             rng.permuted(np.broadcast_to(tail, (r, n - 1)), axis=1, out=v[:, 1:n])
             np.multiply(v[:, :-1], n, out=x)
             x += v[:, 1:]
             for m, flat in enumerate(flats):
-                np.add(flat.take(x, out=labels[:r]), offsets[:r], out=e)
-                s.fill(False)
-                s.reshape(-1)[e] = True
-                counts = np.count_nonzero(s, axis=1)
+                np.add(flat.take(x, out=labels[:r]), row[:r], out=e)
+                seen.fill(False)
+                seen.reshape(-1)[e] = True
+                counts = np.add.reduce(seen[:, :r], axis=0)
                 total[m] += int(counts.sum())
                 total_sq[m] += int((counts.astype(np.int64) ** 2).sum())
         done += k

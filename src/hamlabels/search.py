@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -367,6 +366,8 @@ def extremal_scan(G: GroupSpec, *, threads: int = 1) -> ExtremalReport:
         blocks = scan(heads)
     else:
         # one contiguous run of heads per worker, this thread walking the first
+        from concurrent.futures import ThreadPoolExecutor  # 8-10 ms to import
+
         runs = [heads[len(heads) * i // workers:len(heads) * (i + 1) // workers]
                 for i in range(workers)]
         with ThreadPoolExecutor(max_workers=workers - 1) as pool:
@@ -608,17 +609,38 @@ def _least_degree(G: GroupSpec, S: frozenset[Element]) -> int:
     return len(S) - any(all(c % 2 == 0 or m % 2 for c, m in zip(s, fs)) for s in S)
 
 
-def _is_connected_structural(G: GroupSpec, S: frozenset[Element]) -> bool:
-    """The structural connectivity test on an already validated S."""
-    if not S:
+def _is_connected_structural(G: GroupSpec, idx: tuple[int, ...]) -> bool:
+    """The structural connectivity test on a sorted tuple of indices: the
+    subgroup H spanned by S - s0, s0 the least element of S, is all of G,
+    or has index 2 with s0 outside it."""
+    if not idx:
         return G.order == 1
     gi = G.indexed
-    s0 = min(S)
-    minus_s0 = gi.shift(gi.neg[gi.index[s0]])  # index of els[x] - s0 for every x
-    H = span(G, [gi.els[minus_s0[gi.index[s]]] for s in S])
+    els = gi.els
+    minus_s0 = gi.shift(gi.neg[idx[0]])  # index of els[x] - s0 for every x
+    H = span(G, [els[minus_s0[s]] for s in idx])
     if len(H) == G.order:
         return True
-    return 2 * len(H) == G.order and s0 not in H
+    return 2 * len(H) == G.order and els[idx[0]] not in H
+
+
+def _is_connected_bfs(G: GroupSpec, idx: tuple[int, ...]) -> bool:
+    """The component of 0 in the explicit graph on a tuple of indices S:
+    the neighbour s - v of v is the translation by s of -v."""
+    gi = G.indexed
+    neg = gi.neg
+    steps = [gi.shift(s) for s in idx]
+    seen = bytearray(gi.n)
+    seen[0] = 1
+    reached = [0]
+    for v in reached:  # grows while it is walked
+        u = neg[v]
+        for step in steps:
+            w = step[u]
+            if not seen[w]:
+                seen[w] = 1
+                reached.append(w)
+    return len(reached) == G.order
 
 
 def is_connected_cayley(G: GroupSpec, S, method: str = "structural") -> bool:
@@ -628,27 +650,18 @@ def is_connected_cayley(G: GroupSpec, S, method: str = "structural") -> bool:
     index 2 with S inside the nontrivial coset.
     bfs: walk the component of 0 in the explicit graph, the neighbours
     of each vertex read from the translation rows by the elements of S.
-    Neither builds an n x n table, so both scale to large groups.
+    S is validated once and mapped to sorted indices, and the method's
+    kernel (``_is_connected_structural`` or ``_is_connected_bfs``) works
+    on those; the two kernels share no code.  Neither builds an n x n
+    table, so both scale to large groups.
     """
     S = _element_set(G, S)
+    index = G.indexed.index
+    idx = tuple(sorted(index[s] for s in S))
     if method == "structural":
-        return _is_connected_structural(G, S)
+        return _is_connected_structural(G, idx)
     if method == "bfs":
-        gi = G.indexed
-        neg = gi.neg
-        # v's neighbour s - v is the translation by s of -v
-        steps = [gi.shift(gi.index[s]) for s in S]
-        seen = bytearray(gi.n)
-        seen[0] = 1
-        reached = [0]
-        for v in reached:  # grows while it is walked
-            u = neg[v]
-            for step in steps:
-                w = step[u]
-                if not seen[w]:
-                    seen[w] = 1
-                    reached.append(w)
-        return len(reached) == G.order
+        return _is_connected_bfs(G, idx)
     raise ValueError(f"unknown connectivity method {method!r}")
 
 
@@ -745,7 +758,8 @@ def is_hamiltonian_cayley(G: GroupSpec, S, *, budget: int | None = None,
         if nz in S:  # the single edge doubles as a 2-cycle
             return True, Trail(G, (G.zero(), nz), cyclic=True)
         return False, None
-    if _least_degree(G, S) < 2 or not _is_connected_structural(G, S):
+    idx = tuple(sorted(G.indexed.index[s] for s in S))
+    if _least_degree(G, S) < 2 or not _is_connected_structural(G, idx):
         return False, None
     adj = _cayley_adjacency(G, S)
     if n <= dp_limit:

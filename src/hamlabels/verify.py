@@ -33,11 +33,12 @@ from .groups import GroupSpec, abelian_groups_in_range
 from .search import (
     ExtremalReport,
     _check_scan_order,
+    _is_connected_bfs,
+    _is_connected_structural,
     _size_bounds,
     classify_small_connection_set,
     enumerate_cycles,
     extremal_scan,
-    is_connected_cayley,
     is_hamiltonian_cayley,
     minimum_connection_size,
 )
@@ -206,22 +207,24 @@ def _check_pair_rule(G: GroupSpec, hamiltonian) -> VerificationRecord:
 
 
 def _check_connectivity(G: GroupSpec) -> VerificationRecord:
-    els = G.elements()
+    """The two connectivity kernels against each other, on sorted index
+    tuples: every subset up to ``_CONNECTIVITY_EXHAUSTIVE_MAX``, else
+    seeded samples, one draw per element in index order."""
     n = G.order
     checked = agree = 0
     if n <= _CONNECTIVITY_EXHAUSTIVE_MAX:
         subsets = []
         for size in range(n + 1):
-            subsets.extend(itertools.combinations(els, size))
+            subsets.extend(itertools.combinations(range(n), size))
     else:
         rng = random.Random(0xC0FFEE ^ n)
         subsets = [
-            tuple(e for e in els if rng.random() < 0.5)
+            tuple(i for i in range(n) if rng.random() < 0.5)
             for _ in range(_CONNECTIVITY_SAMPLES)
         ]
-    for S in subsets:
+    for idx in subsets:
         checked += 1
-        if is_connected_cayley(G, S, "structural") == is_connected_cayley(G, S, "bfs"):
+        if _is_connected_structural(G, idx) == _is_connected_bfs(G, idx):
             agree += 1
     return _rec("connectivity-two-ways", G, f"{checked} agree",
                 f"{agree}/{checked} agree", agree == checked)

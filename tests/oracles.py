@@ -158,6 +158,22 @@ def raw_first_hamiltonian_cycle(factors, S):
     return None
 
 
+def raw_is_connected(factors, S):
+    """Whether the addition Cayley graph with connection set S is
+    connected: a BFS from the zero tuple, y a neighbour of x when x + y
+    lies in S."""
+    S = set(S)
+    els = raw_elements(factors)
+    reached = {els[0]}
+    frontier = [els[0]]
+    for x in frontier:  # grows while it is walked
+        for y in els:
+            if y not in reached and raw_add(factors, x, y) in S:
+                reached.add(y)
+                frontier.append(y)
+    return len(reached) == len(els)
+
+
 @functools.lru_cache(maxsize=None)
 def _raw_doubles(factors):
     """The nonzero elements of 2G."""

@@ -27,6 +27,7 @@ from hamlabels.search import (
 from oracles import (
     raw_first_hamiltonian_cycle,
     raw_is_canonical,
+    raw_is_connected,
     raw_minimum_connection_size,
 )
 
@@ -59,13 +60,21 @@ def test_connectivity_empty_set():
     assert is_connected_cayley(group(1), [])
 
 
+def _connectivity_answers(G, idx):
+    """Both index kernels and both public methods on one set of indices."""
+    S = [G.elements()[i] for i in idx]
+    return [search._is_connected_structural(G, idx), search._is_connected_bfs(G, idx),
+            is_connected_cayley(G, S, "structural"), is_connected_cayley(G, S, "bfs")]
+
+
 def test_connectivity_methods_agree_exhaustively():
+    # both index kernels and both public methods, against the oracle
     for G in abelian_groups_in_range(2, 8):
         els = G.elements()
         for size in range(len(els) + 1):
-            for S in itertools.combinations(els, size):
-                assert is_connected_cayley(G, S, "structural") == \
-                    is_connected_cayley(G, S, "bfs"), (G, S)
+            for idx in itertools.combinations(range(len(els)), size):
+                want = raw_is_connected(G.invariant_factors, [els[i] for i in idx])
+                assert _connectivity_answers(G, idx) == [want] * 4, (G, idx)
 
 
 def test_connectivity_methods_agree_sampled_larger():
@@ -76,6 +85,29 @@ def test_connectivity_methods_agree_sampled_larger():
             S = [e for e in els if rng.random() < rng.choice([0.15, 0.5])]
             assert is_connected_cayley(G, S, "structural") == \
                 is_connected_cayley(G, S, "bfs")
+
+
+@pytest.mark.parametrize("factors", [(9,), (3, 3), (10,)])
+def test_connectivity_matches_the_oracle_on_the_sets_verify_samples(monkeypatch, factors):
+    G = group(*factors)
+    sampled = []
+    real = verify._is_connected_structural
+
+    def recorded(G, idx):
+        sampled.append(idx)
+        return real(G, idx)
+
+    monkeypatch.setattr(verify, "_is_connected_structural", recorded)
+    assert verify._check_connectivity(G).verdict == verify.PASS
+    # the sets drawn one element at a time in G.elements() order
+    rng = random.Random(0xC0FFEE ^ G.order)
+    els = G.elements()
+    drawn = [tuple(e for e in els if rng.random() < 0.5)
+             for _ in range(verify._CONNECTIVITY_SAMPLES)]
+    assert sampled == [tuple(els.index(e) for e in S) for S in drawn]
+    for idx in sampled:
+        want = raw_is_connected(factors, [els[i] for i in idx])
+        assert _connectivity_answers(G, idx) == [want] * 4, (G, idx)
 
 
 def test_connectivity_unknown_method():

@@ -49,16 +49,44 @@ def test_import_hamlabels_leaves_numpy_out():
     assert proc.stdout == "False\n"
 
 
+# bench/tracer.py wraps the modules it finds in sys.modules right after
+# importing hamlabels.cli, so each must be imported eagerly
+LIBRARY = ("groups", "trails", "constructions", "search", "expectation", "verify",
+           "cache")
+
+
 def test_cli_import_loads_every_library_module():
-    # bench/tracer.py wraps the modules it finds in sys.modules right after
-    # importing hamlabels.cli, so each must be imported eagerly
-    names = ("groups", "trails", "constructions", "search", "expectation",
-             "verify", "cache")
     code = ("import sys, hamlabels.cli; "
-            f"print([m for m in {names!r} if 'hamlabels.' + m not in sys.modules])")
+            f"print([m for m in {LIBRARY!r} if 'hamlabels.' + m not in sys.modules])")
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# imports hamlabels.cli, scans Z12 at one thread, then at two threads on
+# two CPUs (450 blocks, enough for a pool), and prints one line per step:
+# whether concurrent.futures is loaded, and then whether the reports agree
+POOL_PROBE = f"""\
+import json, sys
+import hamlabels.cli
+from hamlabels import extremal_scan, group, search
+print([m for m in {LIBRARY!r} if 'hamlabels.' + m not in sys.modules])
+print('concurrent.futures' in sys.modules)
+one = json.dumps(extremal_scan(group(12)).to_json_dict())
+print('concurrent.futures' in sys.modules)
+search.os.cpu_count = lambda: 2
+two = json.dumps(extremal_scan(group(12), threads=2).to_json_dict())
+print('concurrent.futures' in sys.modules)
+print(one == two)
+"""
+
+
+def test_thread_pool_module_loads_only_when_a_scan_starts_a_pool():
+    # importing concurrent.futures pulls in logging, traceback and queue,
+    # which no CLI command at its default of one thread needs
+    proc = _python("-c", POOL_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "False", "False", "True", "True"]
 
 
 @pytest.mark.parametrize("argv", [

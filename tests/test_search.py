@@ -1,5 +1,6 @@
 """Cycle enumeration, extremal scans, and rainbow witness searches."""
 
+import concurrent.futures
 import functools
 import itertools
 import os
@@ -203,7 +204,7 @@ def test_scan_of_one_block_starts_no_thread_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was started")
 
-    monkeypatch.setattr(search, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     assert extremal_scan(group(3, 3), threads=2).to_json_dict() == want
 
 
@@ -214,7 +215,7 @@ def test_scan_of_three_blocks_starts_no_thread_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was started")
 
-    monkeypatch.setattr(search, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     assert extremal_scan(group(10), threads=2).to_json_dict() == want
 
 
@@ -243,7 +244,7 @@ class _InlinePool:
 @pytest.fixture
 def inline_pool(monkeypatch):
     pool = _InlinePool()
-    monkeypatch.setattr(search, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
     return pool
 
 
