@@ -27,7 +27,11 @@ read edge labels from the same rows and pick each vertex's candidates
 from a bitmask, the free vertices minus a translate of the used labels.
 The used labels are kept doubled (label l sets bits l and l + n), so a
 translation is one shift, plus a masked move per nonzero coordinate
-after the first: on a cyclic group the shift alone.
+after the first: on a cyclic group the shift alone.  Each step computes
+the new vertex's candidates before it touches the stack: a dead child,
+with free vertices but no candidate, counts as a node and is dropped
+without a push, and a state is pushed only while it has untried
+candidates.
 Only the scan computes with arrays, and its functions import numpy
 themselves, so importing this module, the Cayley searches and the
 rainbow searches leave numpy unloaded.
@@ -458,20 +462,23 @@ def _rainbow_backtrack(G: GroupSpec, vertices: int, sums: bool,
 
     The search keeps two bitmasks, ``free`` (vertices not yet on the
     path) and ``used`` (labels taken so far, doubled: label l sets bits l
-    and l + n, each pair built on its label's first use).  Entering w, it
-    computes w's candidates once as ``free`` minus the vertices v whose
-    edge label is taken: ``used`` translated by w for differences, by -w
-    for sums, which is one right shift of the doubled mask and a masked
-    move per other nonzero coordinate (``_mask_translations``).  ``cand``
-    holds the untried candidates of the last vertex and each step takes
-    the lowest set bit, so candidates are tried in ascending element order
-    and the first witness is deterministic.  Each step pushes the state it
-    leaves, (cand, used, free, row), and backtracking pops it back, so
-    the path itself is read off the pushed ``free`` masks only once a
-    witness is found.  Edge labels are read from the cached translation
-    rows ``GroupIndex.shift`` (w -> v is ``shift(-w)[v]``, or
-    ``shift(w)[v]`` for sums), so no n x n table is built.  The stack is
-    explicit, so the depth is not bounded by the recursion limit.
+    and l + n, all n pairs built up front).  ``cand`` holds the untried
+    candidates of the last vertex, and each step takes its lowest set
+    bit v, so candidates are tried in ascending element order and the
+    first witness is deterministic.  The step computes v's own
+    candidates at once: ``free`` minus the vertices whose edge label
+    from v is taken, which is ``used`` translated by v for differences,
+    by -v for sums, one right shift of the doubled mask and a masked move
+    per other nonzero coordinate (``_mask_translations``).  A child with
+    free vertices but no candidate is dead: it counts as a node and
+    touches nothing else.  Entering a live child pushes the state it
+    leaves, (cand, used, free, row, depth), only while that state still
+    has untried candidates, so backtracking pops the deepest such state
+    and cuts the path list back to its depth.  Edge labels are read from
+    the cached translation rows ``GroupIndex.shift`` (w -> v is
+    ``shift(-w)[v]``, or ``shift(w)[v]`` for sums), so no n x n table is
+    built.  The stack is explicit, so the depth is not bounded by the
+    recursion limit.
     """
     gi = G.indexed
     n = gi.n
@@ -483,52 +490,55 @@ def _rainbow_backtrack(G: GroupSpec, vertices: int, sums: bool,
     plan = _mask_translations(G)
     if sums:
         plan = [plan[a] for a in neg]
+    downs = [down for down, _ in plan]
+    moves = [m for _, m in plan]
+    bits = [1 << label | 1 << label + n for label in range(n)]
     # each node is a distinct sequence of distinct vertices, fewer than
     # n**n of them, so one comparison tests a budget and its absence
     limit = n ** n if budget is None else budget
     first = (vertices & -vertices).bit_length() - 1
     free = cand = vertices ^ (1 << first)
     used = 0
-    bits = [0] * n  # the doubled bit of each label, once used
+    path = [first]
     stack = []
     rows = [None] * n
     row = rows[first] = shift(row_key[first])  # labels of the edges leaving the last vertex
     nodes = 0
     while True:
-        if cand:
+        while cand:
             low = cand & -cand
             cand ^= low
             nodes += 1
             if nodes > limit:
                 return SearchResult(EXHAUSTED, None, nodes)
-            stack.append((cand, used, free, row))
             v = low.bit_length() - 1
-            label = row[v]
-            bit = bits[label]
-            if not bit:
-                bit = bits[label] = 1 << label | 1 << label + n
-            used |= bit
-            free ^= low
-            row = rows[v]
-            if row is None:
-                row = rows[v] = shift(row_key[v])
-            if free:
-                down, moves = plan[v]
-                forbidden = used >> down
-                for lo, up, hi, dn in moves:
-                    forbidden = (forbidden & lo) << up | (forbidden & hi) >> dn
-                cand = free & ~forbidden
+            child_used = used | bits[row[v]]
+            child_free = free ^ low
+            if child_free:
+                forbidden = child_used >> downs[v]
+                if moves[v]:
+                    for lo, up, hi, dn in moves[v]:
+                        forbidden = (forbidden & lo) << up | (forbidden & hi) >> dn
+                child_cand = child_free & ~forbidden
+                if not child_cand:
+                    continue  # a dead child: no vertex can follow v
+                if cand:
+                    stack.append((cand, used, free, row, len(path)))
+                path.append(v)
+                cand, used, free = child_cand, child_used, child_free
+                row = rows[v]
+                if row is None:
+                    row = rows[v] = shift(row_key[v])
                 continue
-            if not cyclic or not used >> row[first] & 1:
-                # each vertex after the first is the bit its step took from free
-                frees = [entry[2] for entry in stack] + [free]
-                path = [first] + [(a ^ b).bit_length() - 1 for a, b in zip(frees, frees[1:])]
+            # v is the last vertex: cand is empty, since free held only v
+            if not cyclic or not child_used >> shift(row_key[v])[first] & 1:
+                path.append(v)
                 trail = Trail._of_elements(G, tuple(gi.els[w] for w in path), cyclic)
                 return SearchResult(FOUND, trail, nodes)
-            continue
         if not stack:
             return SearchResult(NONEXISTENT, None, nodes)
-        cand, used, free, row = stack.pop()
+        cand, used, free, row, depth = stack.pop()
+        del path[depth:]
 
 
 def find_rainbow_diff_path(G: GroupSpec, budget: int | None = None) -> SearchResult:
@@ -665,10 +675,6 @@ def is_connected_cayley(G: GroupSpec, S, method: str = "structural") -> bool:
     raise ValueError(f"unknown connectivity method {method!r}")
 
 
-def _lowest_bit(x: int) -> int:
-    return (x & -x).bit_length() - 1
-
-
 def _hamiltonian_backtrack(n: int, adj: list[int], budget: int | None,
                            memo: bool = False) -> list[int] | None:
     """Pruned DFS Hamiltonicity: degree-1 forcing plus availability cut.
@@ -693,7 +699,7 @@ def _hamiltonian_backtrack(n: int, adj: list[int], budget: int | None,
         avail_pool = free | (1 << cur) | 1
         m = recheck & free
         while m:
-            u = _lowest_bit(m)
+            u = (m & -m).bit_length() - 1
             m &= m - 1
             if (adj[u] & avail_pool).bit_count() < 2:
                 return 0
@@ -711,7 +717,7 @@ def _hamiltonian_backtrack(n: int, adj: list[int], budget: int | None,
                 dead.add((visited, path[-1]))
             visited ^= 1 << path.pop()
             continue
-        w = _lowest_bit(ext)
+        w = (ext & -ext).bit_length() - 1
         steps[-1] = ext & (ext - 1)
         if memo and (visited | 1 << w, w) in dead:
             continue

@@ -9,6 +9,7 @@ orientations of the same vertex set are distinct trails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, mod, sub
 
 from .groups import Element, GroupSpec
 
@@ -59,13 +60,6 @@ class Trail:
     def kind(self) -> str:
         return "cyclic" if self.cyclic else "open"
 
-    def edges(self):
-        verts = self.vertices
-        for i in range(len(verts) - 1):
-            yield verts[i], verts[i + 1]
-        if self.cyclic:
-            yield verts[-1], verts[0]
-
     @property
     def covers_group(self) -> bool:
         return len(self.vertices) == self.group.order
@@ -82,24 +76,31 @@ class LabelSet:
         return len(self.labels)
 
 
-def _collect(t: Trail, label_fn) -> LabelSet:
-    if len(t.vertices) < 2:
+def _collect(t: Trail, op) -> LabelSet:
+    """Count the labels op(b, a) of the edges a -> b, coordinatewise modulo
+    the invariant factors.  A Trail's vertices are elements of its group
+    already (checked, or taken from ``GroupIndex.els``), so no coordinate
+    is checked again, and no index row is read."""
+    verts = t.vertices
+    if len(verts) < 2:
         raise ValueError("label sets need a trail with at least 2 vertices")
+    fs = t.group.invariant_factors
+    heads = verts[1:] + verts[:1] if t.cyclic else verts[1:]
     out: dict[Element, int] = {}
-    for a, b in t.edges():
-        lab = label_fn(a, b)
+    for a, b in zip(verts, heads):
+        lab = tuple(map(mod, map(op, b, a), fs))
         out[lab] = out.get(lab, 0) + 1
     return LabelSet(out)
 
 
 def sum_labels(t: Trail) -> LabelSet:
     """Multiset of a_i + a_{i+1} over consecutive pairs (wrap iff cyclic)."""
-    return _collect(t, t.group.add)
+    return _collect(t, add)
 
 
 def diff_labels(t: Trail) -> LabelSet:
     """Multiset of a_{i+1} - a_i over consecutive pairs (wrap iff cyclic)."""
-    return _collect(t, lambda a, b: t.group.sub(b, a))
+    return _collect(t, sub)
 
 
 def _require_kind(t: Trail, cyclic: bool) -> None:

@@ -21,7 +21,6 @@ from hamlabels.search import (
     DEFAULT_DP_LIMIT,
     _connected_subsets,
     _hamiltonian_backtrack,
-    _lowest_bit,
     _size_bounds,
 )
 from oracles import (
@@ -403,7 +402,7 @@ def _full_cut_backtrack(n, adj, budget):
         avail_pool = free | (1 << cur) | 1
         m = free
         while m:
-            u = _lowest_bit(m)
+            u = (m & -m).bit_length() - 1
             m &= m - 1
             if (adj[u] & avail_pool).bit_count() < 2:
                 return 0
@@ -419,7 +418,7 @@ def _full_cut_backtrack(n, adj, budget):
             steps.pop()
             visited ^= 1 << path.pop()
             continue
-        w = _lowest_bit(ext)
+        w = (ext & -ext).bit_length() - 1
         steps[-1] = ext & (ext - 1)
         nodes += 1
         if budget is not None and nodes > budget:

@@ -508,13 +508,59 @@ def test_rainbow_searches_walk_the_oracle_order(G):
             assert _outcome(search_fn(G, budget=nodes - 1)) == below, kind
 
 
+def _cyclic_elements(*residues):
+    return tuple((r,) for r in residues)
+
+
+# (search, group order) -> (status, nodes, vertices) of the three long
+# searches, beyond the oracle sweep's reach
+LONG_RAINBOW = {
+    ("diff_path", 18): ("found", 108_077, _cyclic_elements(
+        0, 1, 3, 2, 5, 10, 4, 8, 15, 7, 16, 11, 17, 13, 6, 14, 12, 9)),
+    ("diff_cycle_nonzero", 23): ("found", 44_189, _cyclic_elements(
+        1, 2, 4, 3, 6, 10, 5, 11, 7, 16, 14, 22, 15, 20, 17, 8, 18, 12, 19, 9, 21, 13)),
+    ("sum_cycle", 401): ("found", 400, _cyclic_elements(*range(401))),
+}
+
+
 def test_rainbow_node_counts_of_the_longer_searches():
-    path = find_rainbow_diff_path(group(18))
-    assert (path.status, path.nodes) == ("found", 108_077)
-    cycle = find_rainbow_diff_cycle_nonzero(group(23))
-    assert (cycle.status, cycle.nodes) == ("found", 44_189)
-    sums = find_rainbow_sum_cycle(group(401))
-    assert (sums.status, sums.nodes) == ("found", 400)
+    for (kind, n), want in LONG_RAINBOW.items():
+        assert _outcome(RAINBOW_SEARCHES[kind](group(n))) == want, (kind, n)
+
+
+def _budget_boundary(search_fn, budgets, found):
+    # every budget below the found count runs out at the node past it, and
+    # every budget from the found count on gives the unbudgeted outcome
+    nodes = found[1]
+    for budget in budgets:
+        want = ("exhausted", budget + 1, None) if budget < nodes else found
+        assert _outcome(search_fn(budget=budget)) == want, budget
+
+
+@pytest.mark.parametrize("G", abelian_groups_in_range(2, 14),
+                         ids=lambda G: "x".join(map(str, G.invariant_factors)))
+def test_rainbow_budgets_run_out_at_the_node_past_them(G):
+    # a child with no candidate still counts as a node against the budget,
+    # though it is never pushed: every budget up to the oracle's count
+    fs = G.invariant_factors
+    for kind, search_fn in RAINBOW_SEARCHES.items():
+        if kind == "diff_cycle_nonzero" and G.order < 3 or _ruled_out(fs, kind):
+            continue
+        found = raw_rainbow_search(fs, kind)
+        if found[0] != "found":
+            continue
+        assert _outcome(search_fn(G)) == found, kind
+        _budget_boundary(functools.partial(search_fn, G),
+                         range(1, found[1] + 2), found)
+
+
+@pytest.mark.parametrize("kind, n", [("diff_path", 18), ("diff_cycle_nonzero", 23)])
+def test_rainbow_budgets_of_the_longer_searches(kind, n):
+    found = LONG_RAINBOW[kind, n]
+    nodes = found[1]
+    rng = random.Random(n)
+    budgets = sorted(rng.sample(range(1, nodes - 1), 10)) + [nodes - 1, nodes]
+    _budget_boundary(functools.partial(RAINBOW_SEARCHES[kind], group(n)), budgets, found)
 
 
 def test_unchecked_witnesses_equal_the_checked_trails():
@@ -580,9 +626,9 @@ def test_rainbow_searches_build_no_label_table(search_fn):
 
 
 def test_rainbow_search_keeps_no_copy_of_the_label_table():
-    # one cached shift row per vertex, one doubled bit per label and one
-    # pushed state per level: about 0.84 MB at peak on Z401; a Python list
-    # of every row of a label table would take about 3 MB more
+    # one cached shift row per vertex, one doubled bit per label and at
+    # most one pushed state per level: about 0.80 MB at peak on Z401; a
+    # Python list of every row of a label table would take about 3 MB more
     G = group(401)
     tracemalloc.start()
     try:

@@ -1,6 +1,8 @@
 """Trail validation, label multisets, rainbow predicates, canonical keys."""
 
 import itertools
+import random
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -8,9 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from hamlabels import (
     Trail,
+    abelian_groups_in_range,
     canonical_cycle_key,
     diff_labels,
     find_rainbow_diff_cycle_nonzero,
+    find_rainbow_diff_path,
+    find_rainbow_sum_cycle,
     group,
     is_rainbow_diff_cycle,
     is_rainbow_diff_path,
@@ -20,7 +25,7 @@ from hamlabels import (
     trail_to_json_dict,
 )
 
-from oracles import raw_add, trail_from_json_dict
+from oracles import raw_add, raw_diff_labels, raw_sum_labels, trail_from_json_dict
 
 
 def cyc(G, *verts):
@@ -98,6 +103,31 @@ def test_label_totals_match_edge_count():
     assert sum(sum_labels(t).labels.values()) == 4
     p = opn(group(4), (0,), (2,), (1,), (3,))
     assert sum(sum_labels(p).labels.values()) == 3
+
+
+def _oracle_labels(raw_labels, t):
+    # the oracle's labels counted in edge order, so the first-seen order of
+    # the package's label dict is compared too
+    return list(Counter(raw_labels(t.group.invariant_factors, t.vertices, t.cyclic)).items())
+
+
+def test_label_functions_match_the_oracles():
+    # random cycles through every element and random paths through some,
+    # on every group of order 2..32, and the three long rainbow witnesses:
+    # the labels are reduced modulo each invariant factor, in edge order
+    rng = random.Random(32)
+    trails = [find_rainbow_diff_path(group(18)).trail,
+              find_rainbow_diff_cycle_nonzero(group(23)).trail,
+              find_rainbow_sum_cycle(group(401)).trail]
+    for G in abelian_groups_in_range(2, 32):
+        els = G.elements()
+        for _ in range(3):
+            trails.append(Trail(G, tuple(rng.sample(els, len(els))), cyclic=True))
+            trails.append(Trail(G, tuple(rng.sample(els, rng.randint(2, len(els)))),
+                                cyclic=False))
+    for t in trails:
+        assert list(sum_labels(t).labels.items()) == _oracle_labels(raw_sum_labels, t), t
+        assert list(diff_labels(t).labels.items()) == _oracle_labels(raw_diff_labels, t), t
 
 
 # -- rainbow predicates ------------------------------------------------------------
