@@ -3,8 +3,9 @@
 Covers full Hamiltonian-cycle enumeration with exact extremal and mean
 statistics (the cycles are walked in lexicographic numpy blocks, each
 row's label mask one gather from a table of suffixes ORed with its
-prefix's, and the blocks reduce to their extremes and totals, on one
-thread per CPU and per ``_BLOCKS_PER_THREAD`` blocks at most, each
+prefix's and its labels counted by ``np.bitwise_count``, and the blocks
+reduce to their extremes and totals, on one thread per usable CPU and
+per ``_BLOCKS_PER_THREAD`` blocks at most, each
 walking a contiguous run; only the blocks whose first vertex is the
 least of its automorphism class are walked, and their totals count once
 per member of the class; one merge in block order picks the four
@@ -246,21 +247,19 @@ def _row_halves(m: int) -> tuple[np.ndarray, np.ndarray]:
     return edges, key
 
 
-@lru_cache(maxsize=None)
-def _popcounts(n: int) -> np.ndarray:
-    """The number of set bits of every n-bit mask, as a read-only int8 array."""
+# bit of a label mask where the sum labels start; the diff labels take the
+# bits below it, so both fit in a non-negative int32 while n <= 15, as they
+# must: np.bitwise_count counts the bits of |x|, so a set bit 31 miscounts
+_SUM_BIT = 16
+
+
+def _label_counts(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The diff and the sum label counts of int32 label masks, as uint8:
+    the set bits below ``_SUM_BIT`` and from it."""
     import numpy as np
 
-    table = np.zeros(1, dtype=np.int8)
-    for _ in range(n):
-        table = np.concatenate([table, table + 1])
-    table.flags.writeable = False
-    return table
-
-
-# bit of a label mask where the sum labels start; the diff labels take the
-# bits below it, so both fit in a positive int32 while n <= 15
-_SUM_BIT = 16
+    return (np.bitwise_count(masks & ((1 << _SUM_BIT) - 1)),
+            np.bitwise_count(masks >> _SUM_BIT))
 
 
 def _label_masks(G: GroupSpec) -> np.ndarray:
@@ -283,7 +282,7 @@ def _block_counts(n: int, head: tuple[int, ...],
     ``_row_halves``, the head and the edges through the prefix, and one
     for each key, the prefix's last vertex, the suffix and the edge back to
     0; each row's mask is one gather of its key's, ORed with its
-    prefix's."""
+    prefix's, and counted by ``_label_counts``."""
     import numpy as np
 
     path = (0, *head)
@@ -303,9 +302,15 @@ def _block_counts(n: int, head: tuple[int, ...],
         suf = small[:, :m, None] | suf[:m].reshape(1, m, -1)
     masks = suf.take(key).reshape(len(pre), -1)
     masks |= pre[:, None]
-    masks = masks.ravel()
-    pop = _popcounts(n)
-    return pop.take(masks & ((1 << _SUM_BIT) - 1)), pop.take(masks >> _SUM_BIT)
+    return _label_counts(masks.ravel())
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def extremal_scan(G: GroupSpec, *, threads: int = 1) -> ExtremalReport:
@@ -331,11 +336,11 @@ def extremal_scan(G: GroupSpec, *, threads: int = 1) -> ExtremalReport:
     A block reduces its diff and its sum counts to the least and the
     greatest with their first rows, and the total.  The blocks run on up
     to ``threads`` threads (numpy releases the GIL), but on no more than
-    one per CPU and per ``_BLOCKS_PER_THREAD`` blocks, since a thread
-    costs more than it saves on a small scan.  Each thread walks one
-    contiguous run of heads: this one the first, and a pool, started only
-    for two or more threads, the others.  Stacked in block order,
-    argmin/argmax pick the first block reaching each extreme, so each
+    one per CPU the process may run on and per ``_BLOCKS_PER_THREAD``
+    blocks, since a thread costs more than it saves on a small scan.  Each
+    thread walks one contiguous run of heads: this one the first, and a
+    pool, started only for two or more threads, the others.  Listed in
+    block order, min/max pick the first block reaching each extreme, so each
     witness, built once after the merge, is the first cycle reaching it
     and the report never depends on the thread count.  The first cycle
     reaching an extreme starts with the least member of its class, since
@@ -364,8 +369,7 @@ def extremal_scan(G: GroupSpec, *, threads: int = 1) -> ExtremalReport:
                 out += (c[lo], lo, c[hi], hi, c.sum(dtype=np.int32))
         return out
 
-    workers = max(1, min(threads, os.cpu_count() or 1,
-                         len(heads) // _BLOCKS_PER_THREAD))
+    workers = max(1, min(threads, _usable_cpus(), len(heads) // _BLOCKS_PER_THREAD))
     if workers == 1:
         blocks = scan(heads)
     else:
@@ -379,24 +383,26 @@ def extremal_scan(G: GroupSpec, *, threads: int = 1) -> ExtremalReport:
             blocks = scan(runs[0])
             for done in later:
                 blocks += done.result()
-    # stats[b, k, :] for block b and labels k (0 diffs, 1 sums)
-    stats = np.array(blocks, dtype=np.int64).reshape(len(heads), 2, 5)
-    weights = np.array([size[h[0]] for h in heads], dtype=np.int64)
-    rows = int(weights.sum()) * len(table)
+    # stats[b][k] for block b and labels k (0 diffs, 1 sums), as Python ints
+    stats = np.array(blocks, dtype=np.int64).reshape(len(heads), 2, 5).tolist()
+    weights = [size[h[0]] for h in heads]
+    rows = sum(weights) * len(table)
     assert rows == factorial(n - 1)
     els = G.indexed.els
 
     def extreme(k: int, pick, col: int) -> tuple[int, Trail]:
-        b = int(pick(stats[:, k, col]))
+        # min and max return the first block reaching the extreme
+        b = pick(range(len(heads)), key=lambda b: stats[b][k][col])
+        count, row = stats[b][k][col:col + 2]
         head = heads[b]
         rest = [v for v in range(1, n) if v not in head]
-        cycle = (0, *head, *(rest[i] for i in table[stats[b, k, col + 1]].tolist()))
-        return int(stats[b, k, col]), Trail(G, tuple(els[i] for i in cycle), cyclic=True)
+        cycle = (0, *head, *(rest[i] for i in table[row].tolist()))
+        return count, Trail(G, tuple(els[i] for i in cycle), cyclic=True)
 
     best = {f"{name}_{kind}": extreme(k, pick, col)
             for k, kind in enumerate(("diffs", "sums"))
-            for name, pick, col in (("min", np.argmin, 0), ("max", np.argmax, 2))}
-    totals = (weights @ stats[:, :, 4]).tolist()
+            for name, pick, col in (("min", min, 0), ("max", max, 2))}
+    totals = [sum(w * s[k][4] for w, s in zip(weights, stats)) for k in (0, 1)]
     return ExtremalReport(
         group=G,
         min_distinct_diffs=best["min_diffs"][0],
@@ -847,20 +853,22 @@ def _connected_subsets(G: GroupSpec, k: int):
     """
     gi = G.indexed
     n = gi.n
-    shift = gi.shift
+    # every translation row, fetched once: the heads and their candidates
+    # ask for nearly all of them, again and again
+    rows = [gi.shift(a) for a in range(n)]
     heads = itertools.combinations(range(n - 1), k - 1)
     if n % 2:
         heads = ((0, *rest) for rest in itertools.combinations(range(1, n - 1), k - 2))
     for head in heads:
         s0 = head[0]
-        minus_s0 = shift(gi.neg[s0])  # index of els[x] - s0 for every x
+        minus_s0 = rows[gi.neg[s0]]  # index of els[x] - s0 for every x
         sub = gi.closure(minus_s0[i] for i in head)
         inside = bytearray(n)
         for x in sub:
             inside[x] = 1
         h = len(sub)
         for j in range(head[-1] + 1, n):
-            step = shift(minus_s0[j])  # translation by d
+            step = rows[minus_s0[j]]  # translation by d
             x, t = step[0], 1
             while not inside[x]:
                 x, t = step[x], t + 1

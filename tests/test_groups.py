@@ -84,8 +84,9 @@ def test_groupspec_rejects_broken_chain():
         GroupSpec((1, 2))
 
 
-# numpy 2.x already raises TypeError from operator.index(np.True_); the
-# explicit numpy bool check matters only at the declared numpy 1.24 floor
+# recent numpy releases raise TypeError from operator.index(np.True_)
+# themselves; the explicit numpy bool check keeps the refusal whether or
+# not the installed release, down to the declared 2.0 floor, does
 @pytest.mark.parametrize("bad", [(4.0,), ("4",), (2.5,), (True,), (np.True_,),
                                  (np.bool_(False),)],
                          ids=["integral_float", "str", "float", "bool", "np_true",

@@ -74,7 +74,7 @@ print([m for m in {LIBRARY!r} if 'hamlabels.' + m not in sys.modules])
 print('concurrent.futures' in sys.modules)
 one = json.dumps(extremal_scan(group(12)).to_json_dict())
 print('concurrent.futures' in sys.modules)
-search.os.cpu_count = lambda: 2
+search.os.sched_getaffinity = lambda pid: {{0, 1}}
 two = json.dumps(extremal_scan(group(12), threads=2).to_json_dict())
 print('concurrent.futures' in sys.modules)
 print(one == two)
@@ -87,6 +87,27 @@ def test_thread_pool_module_loads_only_when_a_scan_starts_a_pool():
     proc = _python("-c", POOL_PROBE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "False", "False", "True", "True"]
+
+
+# scans Z12 at one thread, then at two on one CPU of this process's own
+# affinity mask, and prints whether concurrent.futures is loaded and
+# whether the reports agree
+ONE_CPU_PROBE = """\
+import json, os, sys
+from hamlabels import extremal_scan, group
+one = json.dumps(extremal_scan(group(12)).to_json_dict())
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+two = json.dumps(extremal_scan(group(12), threads=2).to_json_dict())
+print('concurrent.futures' in sys.modules, one == two)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_a_scan_pinned_to_one_cpu_starts_no_thread_pool():
+    # 450 blocks would take two threads, but the process may run on one CPU
+    proc = _python("-c", ONE_CPU_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False True\n"
 
 
 @pytest.mark.parametrize("argv", [

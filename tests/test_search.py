@@ -3,7 +3,6 @@
 import concurrent.futures
 import functools
 import itertools
-import os
 import random
 import threading
 import tracemalloc
@@ -39,9 +38,11 @@ from oracles import (
     distinct_per_row,
     raw_add,
     raw_automorphism_orbits,
+    raw_diff_labels,
     raw_elements,
     raw_rainbow_search,
     raw_scan,
+    raw_sum_labels,
 )
 
 
@@ -251,22 +252,54 @@ def inline_pool(monkeypatch):
 Z2xZ6 = group(2, 6)  # 5 nonzero classes, 270 blocks
 
 
+def _cpu_mask(monkeypatch, count):
+    """Give this process an affinity mask of ``count`` CPUs, as the scan
+    reads it, on any platform."""
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
 def test_scan_threads_are_bounded_by_the_cpus(inline_pool, monkeypatch):
     want = extremal_scan(Z2xZ6).to_json_dict()
     threads_before = threading.active_count()
     got = extremal_scan(Z2xZ6, threads=10**6).to_json_dict()
     assert threading.active_count() == threads_before
-    assert all(size <= (os.cpu_count() or 1) - 1 for size in inline_pool.sizes)
+    assert all(size <= search._usable_cpus() - 1 for size in inline_pool.sizes)
     assert got == want
     # with 8 CPUs, this thread and a pool of 7
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 8)
+    _cpu_mask(monkeypatch, 8)
     inline_pool.sizes.clear()
     assert extremal_scan(Z2xZ6, threads=10**6).to_json_dict() == want
     assert inline_pool.sizes == [7]
 
 
+def test_scan_threads_are_bounded_by_the_affinity_mask_not_the_cpu_count(monkeypatch):
+    # eight CPUs on the machine, but this process may run on one of them
+    want = extremal_scan(Z2xZ6).to_json_dict()
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 8)
+    _cpu_mask(monkeypatch, 1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    assert extremal_scan(Z2xZ6, threads=2).to_json_dict() == want
+
+
+def test_scan_threads_are_bounded_by_the_cpu_count_without_an_affinity_mask(
+        inline_pool, monkeypatch):
+    want = extremal_scan(Z2xZ6).to_json_dict()
+    monkeypatch.delattr(search.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    assert extremal_scan(Z2xZ6, threads=10**6).to_json_dict() == want
+    assert inline_pool.sizes == [2]
+    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+    assert extremal_scan(Z2xZ6, threads=10**6).to_json_dict() == want
+    assert inline_pool.sizes == [2]  # one CPU: no pool
+
+
 def test_scan_at_two_threads_walks_two_runs_of_heads_in_order(inline_pool, monkeypatch):
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+    _cpu_mask(monkeypatch, 4)
     want = extremal_scan(Z2xZ6).to_json_dict()
     walked = []
     real = search._block_counts
@@ -350,11 +383,47 @@ def test_row_halves_decode_to_the_permutation_rows(m):
 
 @pytest.mark.parametrize("n", range(search.MAX_SCAN_ORDER + 1))
 def test_popcount_table(n):
-    # every scanned order's diff and sum masks fit side by side in int32
+    # every n-bit diff half beside every n-bit sum half, as the int32 masks
+    # of a scan, counts to the table of popcounts
+    table = [bin(x).count("1") for x in range(1 << n)]
+    low = np.arange(1 << n, dtype=np.int32)
+    for high in (low, low[::-1]):
+        diffs, sums = search._label_counts(low | high << search._SUM_BIT)
+        assert diffs.tolist() == table
+        assert sums.tolist() == [table[x] for x in high.tolist()]
+
+
+def test_every_scan_mask_is_a_non_negative_int32():
+    # np.bitwise_count counts the bits of |x| (bitwise_count(-3) == 2), so
+    # a mask with bit 31 set would be miscounted: every scanned order's diff
+    # and sum masks must fit side by side below it
     assert search._SUM_BIT + search.MAX_SCAN_ORDER <= 31
-    table = search._popcounts(n)
-    assert table.dtype == np.int8 and not table.flags.writeable
-    assert table.tolist() == [bin(x).count("1") for x in range(1 << n)]
+    assert np.bitwise_count(np.int32(-3)) == 2
+    for G in abelian_groups_in_range(2, search.MAX_SCAN_ORDER):
+        masks = search._label_masks(G)
+        assert masks.dtype == np.int32, G
+        assert 0 <= masks.min() and masks.max() < 1 << search._SUM_BIT + G.order, G
+        # the diff labels stay below the sum labels' first bit
+        assert (masks & (1 << search._SUM_BIT) - 1).max() < 1 << G.order, G
+
+
+@pytest.mark.parametrize("order", [9, 10])
+def test_block_counts_match_the_oracles_on_sampled_rows(order):
+    # one block of each group, 7! rows at order 9 and 8! at order 10, each
+    # sampled row's cycle counted by the tuple-arithmetic oracles
+    rng = random.Random(order)
+    for G in abelian_groups_in_range(order, order):
+        fs = G.invariant_factors
+        els = G.indexed.els
+        head = (rng.randrange(1, order),)
+        rest = [v for v in range(1, order) if v not in head]
+        table = search._lex_permutations(len(rest))
+        diffs, sums = search._block_counts(order, head, search._label_masks(G))
+        assert len(diffs) == len(sums) == len(table) == factorial(order - 2)
+        for r in [0, len(table) - 1, *rng.sample(range(len(table)), 300)]:
+            verts = [els[v] for v in (0, *head, *(rest[i] for i in table[r]))]
+            assert diffs[r] == len(set(raw_diff_labels(fs, verts))), (G, head, r)
+            assert sums[r] == len(set(raw_sum_labels(fs, verts))), (G, head, r)
 
 
 def test_scan_witnesses_recheck():
