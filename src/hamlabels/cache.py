@@ -3,6 +3,8 @@
 Entries are keyed by a hash of the canonical run parameters and carry a
 checksum of the stored exit code and report; a corrupted entry is
 deleted and treated as a miss, so the next run recomputes and repairs it.
+An entry that cannot be read at all is an OSError, which the caller
+treats as a miss, leaving the entry in place.
 Entries are written to a temporary file and renamed into place, so a
 reader never sees a half-written one.
 """
@@ -32,7 +34,10 @@ def cache_key(payload: dict) -> str:
 
 
 def cache_get(root: str | Path, key: str) -> dict | None:
-    """Return the stored entry ({'report': str, 'exit_code': int}) or None."""
+    """Return the stored entry ({'report': str, 'exit_code': int}) or None.
+
+    Raises OSError, and deletes nothing, when the directory or the entry
+    cannot be read."""
     path = Path(root) / f"{key}.json"
     if not path.is_file():
         return None

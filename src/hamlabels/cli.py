@@ -361,7 +361,11 @@ def run(cfg: RunConfig, out=None) -> int:
     cache_root = cfg.cache_path or os.environ.get(CACHE_ENV)
     key = cache_mod.cache_key(cfg.cache_payload()) if cache_root else None
     if key:
-        hit = cache_mod.cache_get(cache_root, key)
+        try:
+            hit = cache_mod.cache_get(cache_root, key)
+        except OSError as exc:
+            print(f"warning: cache not read: {exc}", file=sys.stderr)
+            hit = None
         if hit is not None:
             out.write(hit["report"])
             return hit["exit_code"]

@@ -34,7 +34,7 @@ from .groups import (
     _check_count,
     _check_order,
     _divisors,
-    _element_set,
+    _element_indices,
 )
 
 __all__ = [
@@ -305,28 +305,26 @@ def count_constrained_cycles(G: GroupSpec, g: Element, A) -> int:
     a fully forced coset is impossible unless A is the whole group and g
     generates it, which leaves the single cycle stepped out by g.
     """
-    (g,) = _element_set(G, [g])
-    if g == G.zero():
+    (g,) = _element_indices(G, [g])
+    if g == 0:
         raise ValueError("the step element must be nonzero")
-    A = _element_set(G, A)
+    A = _element_indices(G, A)
     n = G.order
     gi = G.indexed
-    index = gi.index
-    H = gi.closure([index[g]])
+    H = gi.closure([g])
     if len(A) == n:
         return 1 if len(H) == n else 0
     # does A contain a full coset of <g>?  each coset is walked by steps of
     # g along one translation row
-    step = gi.shift(index[g])
+    step = gi.shift(g)
     inside = bytearray(n)
     for a in A:
-        inside[index[a]] = 1
+        inside[a] = 1
     seen = bytearray(n)
     for a in A:
-        x = index[a]
-        if seen[x]:
+        if seen[a]:
             continue
-        full = True
+        x, full = a, True
         for _ in H:
             seen[x] = 1
             full = full and inside[x]

@@ -238,12 +238,13 @@ class GroupIndex:
     """A group with its elements numbered 0..n-1 in lexicographic order.
 
     Element i is ``els[i]`` (index 0 is zero) and ``index`` maps each
-    element back.  The index rows are plain Python: ``neg`` and ``double``
-    are built up front and each translation row ``shift(a)`` once, for the
-    elements asked for only, each by one mixed-radix comprehension per
-    invariant factor and kept as a compact read-only memoryview (int16, or
-    int32 above order 32,768).  Only the n x n ``add`` and ``diff`` tables
-    are numpy arrays, built on first use; they are the only members that
+    element back.  The index rows are plain Python: ``neg`` is built up
+    front and each translation row ``shift(a)`` once, for the elements
+    asked for only, each by one mixed-radix comprehension per invariant
+    factor and kept as a compact read-only memoryview (int16, or int32
+    above order 32,768).  ``in_2g`` flags the members of 2G = {2a}, one
+    byte per element.  Only the n x n ``add`` and ``diff`` tables are
+    numpy arrays, built on first use; they are the only members that
     import numpy, and code that must scale to large groups never touches
     them.
     """
@@ -255,7 +256,12 @@ class GroupIndex:
         self.index = {a: i for i, a in enumerate(self.els)}
         self._typecode = "h" if self.n <= 1 << 15 else "i"
         self.neg = self._row([[-x % m for x in range(m)] for m in self._factors])
-        self.double = self._row([[2 * x % m for x in range(m)] for m in self._factors])
+        # 2a covers exactly the even residues of each even factor, and every
+        # residue of an odd one
+        in_2g = [True]
+        for m in self._factors:
+            in_2g = [f and (m % 2 == 1 or x % 2 == 0) for f in in_2g for x in range(m)]
+        self.in_2g = bytes(in_2g)
         # shift(a) by a; two threads asking for one a at once build equal rows
         self._rows: dict[int, memoryview] = {}
 
@@ -329,18 +335,19 @@ def _check_order(G: GroupSpec, least: int) -> None:
         raise ValueError(f"need |G| >= {least}")
 
 
-def _element_set(G: GroupSpec, items) -> frozenset[Element]:
-    """Outside input as a set of element tuples; ValueError on any item
-    ``G.contains`` refuses.  (True,), (1.0,) and (np.int64(1),) pass the
-    index lookup, as they equal (1,), so unless every coordinate is a
-    plain int each item also goes through ``contains``."""
+def _element_indices(G: GroupSpec, items) -> tuple[int, ...]:
+    """Outside input as the ascending tuple of its distinct element
+    indices; ValueError on any item ``G.contains`` refuses.  (True,),
+    (1.0,) and (np.int64(1),) pass the index lookup, as they equal (1,),
+    so unless every coordinate is a plain int each item also goes through
+    ``contains``."""
     index = G.indexed.index
     out = list(map(tuple, items))
     plain = set(map(type, itertools.chain.from_iterable(out))) <= {int}
     for a in out:
         if a not in index or not (plain or G.contains(a)):
             raise ValueError(f"{a} is not an element of {G}")
-    return frozenset(out)
+    return tuple(sorted({index[a] for a in out}))
 
 
 def _divisors(n: int) -> list[int]:
@@ -479,5 +486,4 @@ def abelian_groups_in_range(lo: int, hi: int) -> tuple[GroupSpec, ...]:
 def span(G: GroupSpec, gens) -> frozenset[Element]:
     """The subgroup generated by the given elements (BFS closure)."""
     gi = G.indexed
-    members = gi.closure(gi.index[g] for g in _element_set(G, gens))
-    return frozenset(gi.els[i] for i in members)
+    return frozenset(gi.els[i] for i in gi.closure(_element_indices(G, gens)))

@@ -1,48 +1,31 @@
 """Exhaustive and pruned combinatorial search.
 
-Covers full Hamiltonian-cycle enumeration with exact extremal and mean
-statistics (the cycles are walked in lexicographic numpy blocks, each
-row's label mask one gather from a table of suffixes ORed with its
-prefix's and its labels counted by ``np.bitwise_count``, and the blocks
-reduce to their extremes and totals, on one thread per usable CPU and
-per ``_BLOCKS_PER_THREAD`` blocks at most, each
-walking a contiguous run; only the blocks whose first vertex is the
-least of its automorphism class are walked, and their totals count once
-per member of the class; one merge in block order picks the four
-extremes and builds their witnesses once),
-backtracking witness searches for rainbow trails, addition Cayley
-graphs with connectivity and Hamiltonicity tests, and the exact minimum size of a connection set
-giving a Hamiltonian addition Cayley graph (disconnected candidates are
-dropped on their prefix's subgroup before any Hamiltonicity search, on
-odd orders only the sets holding 0 are walked, and each set is compared
-only with the translates that can sort below it).
-The Hamiltonicity test refuses a graph with a vertex of degree below 2,
-then a disconnected one, and only then builds each vertex's neighbour
-mask from the translation rows of S and searches.  The search is one
-backtracking search: up to ``DEFAULT_DP_LIMIT``
-vertices it is exact and unbudgeted and remembers dead states, above it
-it is budgeted.  The Cayley graph tests and the minimum search read the
-translation rows ``GroupIndex.shift`` caches, one per element asked for,
-and never build an n x n table.  Neither do the rainbow searches: they
-read edge labels from the same rows and pick each vertex's candidates
-from a bitmask, the free vertices minus a translate of the used labels.
-The used labels are kept doubled (label l sets bits l and l + n), so a
-translation is one shift, plus a masked move per nonzero coordinate
-after the first: on a cyclic group the shift alone.  Each step computes
-the new vertex's candidates before it touches the stack: a dead child,
-with free vertices but no candidate, counts as a node and is dropped
-without a push, and a state is pushed only while it has untried
-candidates.
-Only the scan computes with arrays, and its functions import numpy
-themselves, so importing this module, the Cayley searches and the
-rainbow searches leave numpy unloaded.
+Covers exhaustive cycle enumeration with exact extremal and mean label
+statistics, backtracking witness searches for rainbow trails, addition
+Cayley graphs with two independent connectivity tests and an exact
+Hamiltonicity test, and the exact minimum size of a connection set giving
+a Hamiltonian addition Cayley graph.  How each one works is in its own
+docstring; this module guarantees:
 
-Budgets are node counts, never wall time, so results are reproducible:
-None or a positive int, anything else is a ValueError before any search.
-A search only ever reports "nonexistent" after exhausting its whole
-space, or after 0 nodes where counting the labels rules every witness
-out (the rainbow searches, by the element sum); running out of budget
-is a distinct outcome.
+- Exactness.  Counts, means and minimum sizes are exact, and no result
+  depends on the thread count.  A search only ever reports "nonexistent"
+  after exhausting its whole space, or after 0 nodes where counting the
+  labels rules every witness out (the rainbow searches, by the element
+  sum); running out of budget is a distinct outcome.
+- Budgets.  Budgets are node counts, never wall time, so results are
+  reproducible: None or a positive int, anything else is a ValueError
+  before any search.  The Hamiltonicity search is unbudgeted up to
+  ``DEFAULT_DP_LIMIT`` vertices.  Scans refuse orders above
+  ``MAX_SCAN_ORDER`` before any work.
+- Indices.  Element input is validated once, into an ascending tuple of
+  indices (``groups._element_indices``); below the public functions the
+  searches work on indices, and build their witnesses from index paths.
+- Scale.  The Cayley graph tests, the minimum search and the rainbow
+  searches read the translation rows ``GroupIndex.shift`` caches and
+  never build an n x n table.
+- numpy.  Only the scan computes with arrays, and its functions import
+  numpy themselves, so importing this module, the Cayley searches and the
+  rainbow searches leave numpy unloaded.
 """
 
 from __future__ import annotations
@@ -62,7 +45,7 @@ from .groups import (
     _automorphism_classes,
     _check_count,
     _check_order,
-    _element_set,
+    _element_indices,
     span,
 )
 from .trails import Trail, sum_labels, trail_to_json_dict
@@ -154,10 +137,10 @@ def enumerate_cycles(G: GroupSpec):
     vertices, the order ``extremal_scan`` walks them in.  The order is
     checked before the first cycle is built.
     """
-    _check_scan_order(G.order)
-    zero, *rest = G.elements()
-    for perm in itertools.permutations(rest):
-        yield Trail._of_elements(G, (zero, *perm), True)
+    n = G.order
+    _check_scan_order(n)
+    for perm in itertools.permutations(range(1, n)):
+        yield Trail._of_indices(G, (0, *perm), True)
 
 
 @dataclass
@@ -539,8 +522,7 @@ def _rainbow_backtrack(G: GroupSpec, vertices: int, sums: bool,
             # v is the last vertex: cand is empty, since free held only v
             if not cyclic or not child_used >> shift(row_key[v])[first] & 1:
                 path.append(v)
-                trail = Trail._of_elements(G, tuple(gi.els[w] for w in path), cyclic)
-                return SearchResult(FOUND, trail, nodes)
+                return SearchResult(FOUND, Trail._of_indices(G, path, cyclic), nodes)
         if not stack:
             return SearchResult(NONEXISTENT, None, nodes)
         cand, used, free, row, depth = stack.pop()
@@ -599,14 +581,15 @@ def find_rainbow_diff_cycle_nonzero(G: GroupSpec, budget: int | None = None) -> 
 # addition Cayley graphs
 # ---------------------------------------------------------------------------
 
-def _cayley_adjacency(G: GroupSpec, S: frozenset[Element]) -> list[int]:
+def _cayley_adjacency(G: GroupSpec, idx: tuple[int, ...]) -> list[int]:
     """adj[i]: the mask with bit j set for each j != i with els[i] + els[j]
-    in S, read off the cached translation row of each s (j = s - els[i])."""
+    in the index tuple S, read off the cached translation row of each s
+    (j = s - els[i])."""
     gi = G.indexed
     neg = gi.neg
     adj = [0] * gi.n
-    for s in S:
-        row = gi.shift(gi.index[s])
+    for s in idx:
+        row = gi.shift(s)
         for i, x in enumerate(neg):
             j = row[x]
             if j != i:
@@ -614,15 +597,15 @@ def _cayley_adjacency(G: GroupSpec, S: frozenset[Element]) -> list[int]:
     return adj
 
 
-def _least_degree(G: GroupSpec, S: frozenset[Element]) -> int:
-    """The least degree of the addition Cayley graph, read off S alone.
+def _least_degree(G: GroupSpec, idx: tuple[int, ...]) -> int:
+    """The least degree of the addition Cayley graph on the index tuple S,
+    read off S alone.
 
     Vertex x has one neighbour s - x for each s in S but s = 2x, so the
-    least degree is |S|, less one when S meets 2G.  An element lies in 2G
-    when its coordinate on each even factor is even.
+    least degree is |S|, less one when S meets 2G.
     """
-    fs = G.invariant_factors
-    return len(S) - any(all(c % 2 == 0 or m % 2 for c, m in zip(s, fs)) for s in S)
+    in_2g = G.indexed.in_2g
+    return len(idx) - any(in_2g[s] for s in idx)
 
 
 def _is_connected_structural(G: GroupSpec, idx: tuple[int, ...]) -> bool:
@@ -671,9 +654,7 @@ def is_connected_cayley(G: GroupSpec, S, method: str = "structural") -> bool:
     on those; the two kernels share no code.  Neither builds an n x n
     table, so both scale to large groups.
     """
-    S = _element_set(G, S)
-    index = G.indexed.index
-    idx = tuple(sorted(index[s] for s in S))
+    idx = _element_indices(G, S)
     if method == "structural":
         return _is_connected_structural(G, idx)
     if method == "bfs":
@@ -762,18 +743,16 @@ def is_hamiltonian_cayley(G: GroupSpec, S, *, budget: int | None = None,
         raise ValueError(
             f"dp_limit {dp_limit} exceeds {DEFAULT_DP_LIMIT}: an unbudgeted search "
             f"may visit 2^{dp_limit - 1}*{dp_limit} = {dp_limit << (dp_limit - 1)} states")
-    S = _element_set(G, S)
+    idx = _element_indices(G, S)
     _check_order(G, 2)
     n = G.order
     if n == 2:
-        nz = G.elements()[1]
-        if nz in S:  # the single edge doubles as a 2-cycle
-            return True, Trail(G, (G.zero(), nz), cyclic=True)
+        if 1 in idx:  # the single edge doubles as a 2-cycle
+            return True, Trail._of_indices(G, (0, 1), True)
         return False, None
-    idx = tuple(sorted(G.indexed.index[s] for s in S))
-    if _least_degree(G, S) < 2 or not _is_connected_structural(G, idx):
+    if _least_degree(G, idx) < 2 or not _is_connected_structural(G, idx):
         return False, None
-    adj = _cayley_adjacency(G, S)
+    adj = _cayley_adjacency(G, idx)
     if n <= dp_limit:
         path = _hamiltonian_backtrack(n, adj, None, memo=True)
         if path is not None:
@@ -784,10 +763,10 @@ def is_hamiltonian_cayley(G: GroupSpec, S, *, budget: int | None = None,
         path = _hamiltonian_backtrack(n, adj, budget)
     if path is None:
         return False, None
-    els = G.indexed.els
-    t = Trail._of_elements(G, tuple(els[i] for i in path), True)
+    t = Trail._of_indices(G, path, True)
     # checked by tuple arithmetic, apart from the index rows adj came from
-    assert set(sum_labels(t).labels) <= S
+    els = G.indexed.els
+    assert set(sum_labels(t).labels) <= {els[s] for s in idx}
     return True, t
 
 
@@ -799,16 +778,17 @@ def classify_small_connection_set(G: GroupSpec, S) -> bool:
     from the pair.
     """
     _check_order(G, 3)
-    S = _element_set(G, S)
+    els = G.indexed.els
+    S = [els[i] for i in _element_indices(G, S)]
     if len(S) > 2:
         raise ValueError("rule only covers |S| <= 2")
     if len(S) <= 1:
         return False
-    s1, s2 = sorted(S)
+    s1, s2 = S
     d = G.sub(s2, s1)
     if G.order % 2 != 0 or G.element_order(d) != G.order // 2:
         return False
-    return not (S & span(G, [d]))
+    return span(G, [d]).isdisjoint(S)
 
 
 # ---------------------------------------------------------------------------
@@ -891,16 +871,14 @@ def _canonical_filter(G: GroupSpec):
 
     A translate sorts below S only if its least index is at most S[0],
     that is if h = x - s for some s in S and some index x <= S[0]; only
-    those h are tried, once each.  On an odd order 2G = G, so the first
+    those h are tried, once each, save h = 0, whose translate is S itself
+    (``GroupIndex.in_2g`` flags 0).  On an odd order 2G = G, so the first
     one, h = -S[0], rejects every set without 0 at once.
     """
     gi = G.indexed
     shift = gi.shift
     neg = gi.neg
-    doubles = bytearray(gi.n)
-    for h in gi.double:
-        doubles[h] = 1
-    doubles[0] = 0
+    in_2g = gi.in_2g
 
     def is_canonical(idx_tuple: tuple[int, ...]) -> bool:
         want = list(idx_tuple)
@@ -909,7 +887,7 @@ def _canonical_filter(G: GroupSpec):
             plus_x = shift(x)  # index of els[x] + els[y] for every y
             for s in idx_tuple:
                 h = plus_x[neg[s]]
-                if doubles[h] and h not in tried:
+                if h and in_2g[h] and h not in tried:
                     tried.add(h)
                     row = shift(h)
                     if sorted([row[i] for i in idx_tuple]) < want:

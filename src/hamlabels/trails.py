@@ -45,14 +45,14 @@ class Trail:
                 raise ValueError(f"vertex {v} is not an element of {self.group}")
 
     @classmethod
-    def _of_elements(cls, group: GroupSpec, vertices: tuple[Element, ...],
-                     cyclic: bool) -> Trail:
-        """The Trail ``Trail(group, vertices, cyclic)`` without its checks,
-        for vertices that are distinct members of ``group.elements()``
-        already (those of ``GroupIndex.els``, each taken once)."""
+    def _of_indices(cls, group: GroupSpec, path, cyclic: bool) -> Trail:
+        """The Trail through ``group.indexed.els[i]`` for each i of ``path``,
+        without the checks of ``Trail(...)``: ``path`` holds distinct
+        element indices, so its vertices are distinct elements already."""
+        els = group.indexed.els
         t = object.__new__(cls)
         object.__setattr__(t, "group", group)
-        object.__setattr__(t, "vertices", vertices)
+        object.__setattr__(t, "vertices", tuple(els[i] for i in path))
         object.__setattr__(t, "cyclic", cyclic)
         return t
 

@@ -169,13 +169,15 @@ def _check_forced_steps(G: GroupSpec) -> VerificationRecord:
     gi = G.indexed
     els = gi.els
     steps = range(1, gi.n)  # the nonzero step elements g, by index
+    # minus[a][b] is the index of els[b] - els[a], the label of the edge a -> b
+    minus = [gi.shift(gi.neg[a]) for a in range(gi.n)]
     # (g, A) -> cycles in which every a in A is followed by a + g
     observed: Counter = Counter()
     for trail in enumerate_cycles(G):
         verts = [gi.index[v] for v in trail.vertices]
         forced: dict[int, list[int]] = {g: [] for g in steps}
         for a, b in zip(verts, verts[1:] + verts[:1]):
-            forced[int(gi.diff[a, b])].append(a)
+            forced[minus[a][b]].append(a)
         for g in steps:
             for size in range(min(3, len(forced[g])) + 1):
                 for A in itertools.combinations(forced[g], size):

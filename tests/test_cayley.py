@@ -257,6 +257,28 @@ def test_minimum_connection_odd_bounds():
             assert size == 3
 
 
+# the odd non-cyclic groups of order 9..125 that smin settles at budget
+# 200,000; the other eight (Z5xZ15, Z3xZ27, Z3^4, Z3xZ33, Z3xZ39, Z11xZ11,
+# Z5xZ25, Z5^3) stall on their first set of size r + 1
+ODD_SMIN_EXACT = ["Z3 x Z3", "Z5 x Z5", "Z3 x Z9", "Z3 x Z3 x Z3", "Z3 x Z15", "Z7 x Z7",
+                  "Z3 x Z21", "Z9 x Z9", "Z3 x Z3 x Z9"]
+
+
+def test_odd_smin_table():
+    exact = []
+    for G in abelian_groups_in_range(9, 125):
+        if G.order % 2 == 0 or G.is_cyclic:
+            continue
+        r = G.rank
+        res = minimum_connection_size(G, budget=200_000)
+        if res.status == "exact":
+            exact.append(str(G))
+            assert res.size == (r + 2 if str(G) == "Z3 x Z3" else r + 1), G
+        else:
+            assert (res.status, res.lower, res.upper) == ("interval", r + 1, 2 * r + 1), G
+    assert set(ODD_SMIN_EXACT) <= set(exact)
+
+
 def test_minimum_connection_lower_bound_has_no_smaller_set():
     # the search starts at this bound and verify predicts the same value,
     # so only a check from below catches a bound that is too high

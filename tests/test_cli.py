@@ -559,3 +559,28 @@ def test_cache_write_failure_leaves_no_partial_entry(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         cache.cache_put(tmp_path, "k", "report", 0)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("method", ["stat", "read_text"])
+def test_cache_read_failure_is_a_miss_that_keeps_the_entry(tmp_path, monkeypatch,
+                                                             capsys, method):
+    import errno
+    import pathlib
+
+    args = ("smin", "--group", "9", "--cache", str(tmp_path))
+    cold = run_cli(*args)
+    entry = next(tmp_path.glob("*.json"))
+    stored = entry.read_bytes()
+    capsys.readouterr()
+    real = getattr(pathlib.Path, method)
+
+    def unreadable(self, *a, **kw):
+        if self == entry:
+            raise PermissionError(errno.EACCES, "Permission denied", str(self))
+        return real(self, *a, **kw)
+
+    monkeypatch.setattr(pathlib.Path, method, unreadable)
+    assert run_cli(*args) == cold  # recomputed, not a traceback
+    assert "warning: cache not read: " in capsys.readouterr().err
+    monkeypatch.undo()
+    assert entry.read_bytes() == stored  # left in place, not deleted

@@ -26,6 +26,8 @@ from hamlabels import (
     span,
 )
 
+from hamlabels.groups import _element_indices
+
 from oracles import raw_elements, raw_order
 
 
@@ -270,6 +272,30 @@ def test_span_examples():
     assert span(G, [(1,)]) == set(G.elements())
     G = group(2, 4)
     assert span(G, [(0, 2), (1, 0)]) == {(0, 0), (0, 2), (1, 0), (1, 2)}
+
+
+# -- validated element input -------------------------------------------------------
+
+@pytest.mark.parametrize("factors, bad", [
+    ((6,), (True,)), ((6,), (1.0,)), ((6,), (np.int64(1),)),  # each equals (1,)
+    ((6,), (6,)), ((6,), (-1,)), ((2, 4), (0, 4)),  # out of range
+    ((6,), (1, 0)), ((6,), ()), ((2, 4), (1,)),  # the wrong length
+])
+def test_element_indices_refuse_what_contains_refuses(factors, bad):
+    G = group(*factors)
+    assert not G.contains(bad)
+    with pytest.raises(ValueError, match="not an element"):
+        _element_indices(G, [G.elements()[1], bad])
+
+
+def test_element_indices_are_ascending_and_distinct():
+    G = group(2, 4)
+    els = G.elements()
+    assert _element_indices(G, [(1, 3), (0, 1), (1, 3)]) == (1, 7)
+    assert _element_indices(G, (a for a in reversed(els))) == tuple(range(8))
+    assert _element_indices(G, [[1, 0], [0, 0], (1, 0)]) == (0, 4)  # list items
+    assert _element_indices(G, []) == ()
+    assert _element_indices(group(), [()]) == (0,)
 
 
 # -- order floors ----------------------------------------------------------------

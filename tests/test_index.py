@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hamlabels import abelian_groups_in_range, group, is_connected_cayley
+from hamlabels import abelian_groups_in_range, group, is_connected_cayley, verify
 from hamlabels.search import _cayley_adjacency, _least_degree
 
 from oracles import cycle_edges, raw_add, raw_elements
@@ -15,7 +15,7 @@ SMALL_GROUPS = abelian_groups_in_range(1, 64)
 
 
 def test_index_rows_match_a_numpy_encoding():
-    # neg, double and every shift row against the vectorized mixed-radix
+    # neg and every shift row against the vectorized mixed-radix
     # encoding: coordinates reduced factor-wise, dotted with the strides
     groups = [*abelian_groups_in_range(1, 200), group(*[2] * 7), group(3, 3, 3, 3),
               group(2, 4, 8)]
@@ -30,7 +30,6 @@ def test_index_rows_match_a_numpy_encoding():
             return (c % moduli) @ strides
 
         assert np.array_equal(gi.neg, encode(-coords)), G
-        assert np.array_equal(gi.double, encode(2 * coords)), G
         shifts = np.array([gi.shift(a) for a in range(gi.n)])
         assert np.array_equal(shifts, encode(coords[:, None] + coords[None, :])), G
 
@@ -42,10 +41,18 @@ def test_index_tables_agree_with_tuple_arithmetic(G):
     els = gi.els
     for i, a in enumerate(els):
         assert els[gi.neg[i]] == G.neg(a)
-        assert els[gi.double[i]] == G.scalar_mul(2, a)
         for j, b in enumerate(els):
             assert els[gi.add[i, j]] == G.add(a, b)
             assert els[gi.diff[i, j]] == G.sub(b, a)  # label of the edge a -> b
+
+
+def test_in_2g_flags_the_doubles():
+    for G in SMALL_GROUPS:
+        gi = G.indexed
+        fs = G.invariant_factors
+        doubles = {raw_add(fs, a, a) for a in gi.els}
+        assert type(gi.in_2g) is bytes  # read-only
+        assert gi.in_2g == bytes(a in doubles for a in gi.els), G
 
 
 @settings(max_examples=40, deadline=None)
@@ -80,14 +87,16 @@ def test_shift_and_closure_match_tuple_arithmetic(G, data):
 def test_cayley_adjacency_matches_tuple_arithmetic(G, data):
     els = G.elements()
     fs = G.invariant_factors
-    S = frozenset(data.draw(st.lists(st.sampled_from(els), max_size=5)))
-    adj = _cayley_adjacency(G, S)  # is_hamiltonian_cayley's bit masks
+    # the validated form: ascending distinct indices
+    idx = tuple(sorted(set(data.draw(st.lists(st.integers(0, len(els) - 1), max_size=5)))))
+    S = {els[s] for s in idx}
+    adj = _cayley_adjacency(G, idx)  # is_hamiltonian_cayley's bit masks
     assert len(adj) == len(els)
     for i, g in enumerate(els):
         assert adj[i] == sum(1 << j for j, h in enumerate(els)
                              if h != g and raw_add(fs, g, h) in S)
     # the degree test, which runs before the masks are built
-    assert _least_degree(G, S) == min(a.bit_count() for a in adj)
+    assert _least_degree(G, idx) == min(a.bit_count() for a in adj)
 
 
 def test_structural_connectivity_builds_no_table_on_large_groups():
@@ -111,6 +120,15 @@ def test_bfs_connectivity_builds_no_table_on_large_groups():
         assert set(gi._rows) <= {gi.index[s] for s in S}
         built = vars(gi)
         assert "add" not in built and "diff" not in built
+
+
+def test_forced_step_check_builds_no_table():
+    # it reads each edge label from a translation row; only the scan and
+    # the Monte Carlo estimator read the n x n tables
+    G = group(7)
+    assert verify._check_forced_steps(G).verdict == verify.PASS
+    built = vars(G.indexed)
+    assert "add" not in built and "diff" not in built
 
 
 @pytest.mark.parametrize("n", [5, 181, 182, 400])
