@@ -10,6 +10,8 @@ construct, scan, expect and smin run the library's own domain check on
 every group before any work, and a refused group is a usage error that
 names the command and the group; scan and verify refuse an order range
 above ``search.MAX_SCAN_ORDER`` (13) by its top, before expanding it.
+expect refuses an order above ``expectation.MAX_EXACT_ORDER`` (10000), and
+smin without --budget one above ``search.DEFAULT_DP_LIMIT`` (16).
 
 Exit codes: 0 all pass, 1 some check failed, 2 usage error, 3 a search
 budget left an smin result inconclusive.
@@ -22,7 +24,7 @@ import json
 import os
 import sys
 from collections.abc import Callable, Sequence
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -30,6 +32,7 @@ from . import cache as cache_mod
 from . import search
 from .constructions import BUILDERS, ConstructionError, _require
 from .expectation import (
+    _check_exact_order,
     _residual,
     expected_distinct_diffs,
     expected_distinct_sums,
@@ -211,7 +214,7 @@ def _cmd_scan(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def _cmd_expect(cfg: RunConfig) -> tuple[dict, int]:
-    groups = _resolve_groups(cfg, lambda G: _check_order(G, 3))
+    groups = _resolve_groups(cfg, lambda G: _check_exact_order(G, 3))
     reports = []
     for G in groups:
         mc = monte_carlo_estimates(G, cfg.mc_trials, cfg.seed) if cfg.mc_trials else None
@@ -224,22 +227,22 @@ def _cmd_expect(cfg: RunConfig) -> tuple[dict, int]:
                 "exact": format_rational(exact),
                 "decimal": _frac_decimal(exact, DIGITS),
                 "residual": str(_residual(exact, G.order, DIGITS)),
-                "mc": None,
+                "mc": asdict(mc[mode]) if mc else None,
             }
-            if mc:
-                est = mc[mode]
-                entry["mc"] = {
-                    "mean": est.mean,
-                    "std_error": est.std_error,
-                    "trials": est.trials,
-                    "seed": est.seed,
-                }
             reports.append(entry)
     return {"command": "expect", "reports": reports}, EXIT_PASS
 
 
+def _admit_smin(cfg: RunConfig, G: GroupSpec) -> None:
+    _check_order(G, 2)
+    # above the limit the unbudgeted search keeps no memo and may not end
+    if cfg.budget is None and G.order > search.DEFAULT_DP_LIMIT:
+        raise ValueError(f"order {G.order} is above {search.DEFAULT_DP_LIMIT}: "
+                         f"an unbudgeted search may not end; pass --budget")
+
+
 def _cmd_smin(cfg: RunConfig) -> tuple[dict, int]:
-    groups = _resolve_groups(cfg, lambda G: _check_order(G, 2))
+    groups = _resolve_groups(cfg, lambda G: _admit_smin(cfg, G))
     reports = []
     code = EXIT_PASS
     for G in groups:
@@ -393,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {name: sub.add_parser(name, help=text)
+    # a flag not given stays unset, so RunConfig's default applies
+    commands = {name: sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
                 for name, (_, text) in _COMMANDS.items()}
     commands["construct"].add_argument("builder", choices=sorted(BUILDERS))
 
@@ -403,31 +407,29 @@ def build_parser() -> argparse.ArgumentParser:
             commands[command].add_argument(*names, **kwargs)
 
     flag("info construct scan expect smin", "--group", dest="groups",
-         metavar="GROUP", action="append", default=[],
+         metavar="GROUP", action="append",
          help="group descriptor, e.g. 12 or 2x4 or Z2xZ6 (repeatable)")
     flag("info construct scan expect smin verify", "--orders", type=_parse_orders,
          help="order range A..B expanding to all abelian groups "
               "(verify: default 3..10)")
-    flag("smin", "--budget", type=_positive_int, default=None,
+    flag("smin", "--budget", type=_positive_int,
          help="search budget in nodes (reproducible, not wall time)")
-    flag("scan verify", "--threads", type=_positive_int, default=1,
+    flag("scan verify", "--threads", type=_positive_int,
          help="the most scan threads, no more than one per CPU and per "
               f"{search._BLOCKS_PER_THREAD} blocks (wall time only, never output)")
-    flag("expect", "--seed", type=int, default=0,
+    flag("expect", "--seed", type=int,
          help="seed for Monte Carlo sampling")
-    flag("expect", "--mc-trials", dest="mc_trials", type=_positive_int, default=None,
+    flag("expect", "--mc-trials", dest="mc_trials", type=_positive_int,
          help="add a Monte Carlo estimate with this many trials")
     every = " ".join(commands)
-    flag(every, "--format", dest="fmt", default="json", choices=["json", "csv", "text"])
-    flag(every, "--cache", dest="cache_path", default=None,
+    flag(every, "--format", dest="fmt", choices=["json", "csv", "text"])
+    flag(every, "--cache", dest="cache_path",
          help=f"report cache directory (or ${CACHE_ENV})")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    given = vars(args)
-    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig)
-                        if f.name in given})
+    return RunConfig(**vars(args))
 
 
 def main(argv=None) -> int:

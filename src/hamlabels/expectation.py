@@ -46,6 +46,7 @@ __all__ = [
     "monte_carlo_estimates",
     "count_constrained_cycles",
     "RESIDUAL_BOUND",
+    "MAX_EXACT_ORDER",
     "format_rational",
 ]
 
@@ -53,6 +54,11 @@ __all__ = [
 # abelian group of order 3..32 (established by exact computation; the
 # worst case in that range is about 1.104).
 RESIDUAL_BOUND = 2.0
+
+# The exact expectations refuse larger orders: the differences keep every
+# a(N) up to n, Theta(n^2 log n) bits, and Z10000 takes about 3 s and
+# 100 MB for both modes.
+MAX_EXACT_ORDER = 10_000
 
 _MC_SHARD = 4096
 # a shard is shuffled and counted in blocks of about this many vertices,
@@ -62,8 +68,21 @@ _MC_BLOCK = 1 << 15
 
 
 def format_rational(q: Fraction) -> str:
-    """An exact rational as "p/q", denominator always shown (e.g. "1/1")."""
-    return f"{q.numerator}/{q.denominator}"
+    """An exact rational as "p/q", denominator always shown (e.g. "1/1").
+
+    Each integer is written through ``Decimal``, which has no digit limit,
+    where ``str`` refuses one of more than ``sys.get_int_max_str_digits()``
+    digits (Z1561's mean has a 4,302-digit denominator)."""
+    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
+
+
+def _check_exact_order(G: GroupSpec, least: int = 2) -> None:
+    """Refuse a group below ``least`` or above ``MAX_EXACT_ORDER``, before
+    any work."""
+    _check_order(G, least)
+    if G.order > MAX_EXACT_ORDER:
+        raise ValueError(f"order {G.order} is above the exact-expectation "
+                         f"ceiling {MAX_EXACT_ORDER}")
 
 
 def _off_by_one_free_cycles(n: int) -> list[int]:
@@ -101,7 +120,7 @@ def expected_distinct_diffs(G: GroupSpec) -> Fraction:
     >>> expected_distinct_diffs(GroupSpec((4,)))
     Fraction(7, 3)
     """
-    _check_order(G, 2)
+    _check_exact_order(G)
     n = G.order
     a = _off_by_one_free_cycles(n)
     total = 0
@@ -136,7 +155,7 @@ def expected_distinct_sums(G: GroupSpec) -> Fraction:
     >>> expected_distinct_sums(GroupSpec((4,)))
     Fraction(8, 3)
     """
-    _check_order(G, 2)
+    _check_exact_order(G)
     n = G.order
     if n == 2:
         # the inclusion-exclusion below divides by n - j - 1, which is 0 here

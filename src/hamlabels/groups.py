@@ -211,18 +211,18 @@ class GroupSpec:
     def count_by_order(self, d: int) -> int:
         """Number of elements of order exactly d (0 when d does not divide |G|).
 
-        Uses Moebius inversion of ``#{g : e*g = 0} = prod gcd(e, m_i)``.
+        An element has order d exactly when, for each p^a exactly dividing
+        d, its p-part has order p^a.  Those p-parts number N(p^a) - N(p^(a-1)),
+        where N(e) = #{g : e*g = 0} = prod gcd(e, m_i).
         """
         if d < 1:
             raise ValueError("order must be >= 1")
         if self.order % d != 0:
             return 0
-        total = 0
-        for e in _divisors(d):
-            mu = _mobius(d // e)
-            if mu:
-                total += mu * prod(gcd(e, m) for m in self.invariant_factors)
-        return total
+
+        def killed_by(e: int) -> int:
+            return prod(gcd(e, m) for m in self.invariant_factors)
+        return prod(killed_by(p**a) - killed_by(p**(a - 1)) for p, a in _factorize(d).items())
 
     def two_torsion_count(self) -> int:
         """|{g : 2g = 0}|, i.e. 2 to the number of even invariant factors."""
@@ -354,15 +354,6 @@ def _divisors(n: int) -> list[int]:
     """The divisors of n in ascending order."""
     small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
     return small + [n // d for d in reversed(small) if d * d != n]
-
-
-def _mobius(n: int) -> int:
-    m = 1
-    for _, a in _factorize(n).items():
-        if a > 1:
-            return 0
-        m = -m
-    return m
 
 
 def _automorphism_classes(G: GroupSpec) -> list[tuple[int, ...]]:

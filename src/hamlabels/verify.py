@@ -15,10 +15,12 @@ tables is verified with no change here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import asdict, dataclass
 
 from . import constructions
 from .expectation import (
@@ -63,13 +65,7 @@ class VerificationRecord:
     verdict: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "group": str(self.group),
-            "predicted": self.predicted,
-            "measured": self.measured,
-            "verdict": self.verdict,
-        }
+        return {**asdict(self), "group": str(self.group)}
 
     # columns of the CSV rendering, named as in to_json_dict
     CSV_HEADER = "check,group,predicted,measured,verdict"
@@ -79,16 +75,12 @@ def _rec(check: str, G: GroupSpec, predicted: str, measured: str, ok: bool) -> V
     return VerificationRecord(check, G, predicted, measured, PASS if ok else FAIL)
 
 
-def _has_noncyclic_eight_sylow(G: GroupSpec) -> bool:
-    exps = []
-    for m in G.invariant_factors:
-        e = 0
-        while m % 2 == 0:
-            m //= 2
-            e += 1
-        if e:
-            exps.append(e)
-    return sum(exps) == 3 and len(exps) >= 2
+def _agreement(check: str, G: GroupSpec, pairs: Iterable[tuple]) -> VerificationRecord:
+    """The record of a cross-check over (want, got) pairs: every pair is
+    evaluated, and the check passes when each pair agrees."""
+    agreed = [want == got for want, got in pairs]
+    checked, agree = len(agreed), sum(agreed)
+    return _rec(check, G, f"{checked} agree", f"{agree}/{checked} agree", agree == checked)
 
 
 def _check_extremals(G: GroupSpec, rep: ExtremalReport) -> list[VerificationRecord]:
@@ -98,7 +90,9 @@ def _check_extremals(G: GroupSpec, rep: ExtremalReport) -> list[VerificationReco
         _rec("min-diffs-equals-rank", G, str(r), str(rep.min_distinct_diffs),
              rep.min_distinct_diffs == r)
     ]
-    if _has_noncyclic_eight_sylow(G):
+    # a non-cyclic Sylow 2-subgroup of order 8: |G| = 8 * odd, and more
+    # than one even invariant factor
+    if n % 16 == 8 and G.two_torsion_count() > 2:
         out.append(_rec("max-diffs-drop", G, f"<={n - 2}",
                         str(rep.max_distinct_diffs),
                         rep.max_distinct_diffs <= n - 2))
@@ -138,14 +132,8 @@ def _check_expectations(G: GroupSpec, rep: ExtremalReport) -> list[VerificationR
 def _hamiltonian_once(G: GroupSpec):
     """``is_hamiltonian_cayley(G, S)[0]``, asked once per set S and then
     answered from memory, so checks sharing it share their searches."""
-    answers: dict[frozenset, bool] = {}
-
-    def ask(S) -> bool:
-        key = frozenset(S)
-        if key not in answers:
-            answers[key] = is_hamiltonian_cayley(G, S)[0]
-        return answers[key]
-    return ask
+    ask = functools.cache(lambda S: is_hamiltonian_cayley(G, S)[0])
+    return lambda S: ask(frozenset(S))
 
 
 def _check_min_connection(G: GroupSpec, hamiltonian=None) -> list[VerificationRecord]:
@@ -182,30 +170,20 @@ def _check_forced_steps(G: GroupSpec) -> VerificationRecord:
             for size in range(min(3, len(forced[g])) + 1):
                 for A in itertools.combinations(forced[g], size):
                     observed[g, frozenset(A)] += 1
-    checked = agree = 0
-    for g in steps:
-        for size in range(4):
-            for A in itertools.combinations(range(gi.n), size):
-                checked += 1
-                expected = count_constrained_cycles(G, els[g], [els[a] for a in A])
-                if observed[g, frozenset(A)] == expected:
-                    agree += 1
-    return _rec("forced-step-counts", G, f"{checked} agree",
-                f"{agree}/{checked} agree", agree == checked)
+    return _agreement("forced-step-counts", G, (
+        (count_constrained_cycles(G, els[g], [els[a] for a in A]), observed[g, frozenset(A)])
+        for g in steps
+        for size in range(4)
+        for A in itertools.combinations(range(gi.n), size)
+    ))
 
 
 def _check_pair_rule(G: GroupSpec, hamiltonian) -> VerificationRecord:
-    els = G.elements()
-    checked = agree = 0
-    for size in (0, 1, 2):
-        for S in itertools.combinations(els, size):
-            checked += 1
-            want = hamiltonian(S)
-            got = classify_small_connection_set(G, S)
-            if want == got:
-                agree += 1
-    return _rec("pair-connection-rule", G, f"{checked} agree",
-                f"{agree}/{checked} agree", agree == checked)
+    return _agreement("pair-connection-rule", G, (
+        (hamiltonian(S), classify_small_connection_set(G, S))
+        for size in (0, 1, 2)
+        for S in itertools.combinations(G.elements(), size)
+    ))
 
 
 def _check_connectivity(G: GroupSpec) -> VerificationRecord:
@@ -213,23 +191,16 @@ def _check_connectivity(G: GroupSpec) -> VerificationRecord:
     tuples: every subset up to ``_CONNECTIVITY_EXHAUSTIVE_MAX``, else
     seeded samples, one draw per element in index order."""
     n = G.order
-    checked = agree = 0
     if n <= _CONNECTIVITY_EXHAUSTIVE_MAX:
-        subsets = []
-        for size in range(n + 1):
-            subsets.extend(itertools.combinations(range(n), size))
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(range(n), size) for size in range(n + 1))
     else:
         rng = random.Random(0xC0FFEE ^ n)
-        subsets = [
-            tuple(i for i in range(n) if rng.random() < 0.5)
-            for _ in range(_CONNECTIVITY_SAMPLES)
-        ]
-    for idx in subsets:
-        checked += 1
-        if _is_connected_structural(G, idx) == _is_connected_bfs(G, idx):
-            agree += 1
-    return _rec("connectivity-two-ways", G, f"{checked} agree",
-                f"{agree}/{checked} agree", agree == checked)
+        subsets = (tuple(i for i in range(n) if rng.random() < 0.5)
+                   for _ in range(_CONNECTIVITY_SAMPLES))
+    return _agreement("connectivity-two-ways", G, (
+        (_is_connected_structural(G, idx), _is_connected_bfs(G, idx)) for idx in subsets
+    ))
 
 
 def _check_constructions(G: GroupSpec) -> VerificationRecord:

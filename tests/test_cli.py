@@ -14,6 +14,7 @@ from hamlabels.cli import (
     EXIT_USAGE,
     RunConfig,
     build_parser,
+    config_from_args,
     main,
     run,
 )
@@ -198,6 +199,37 @@ def test_expect_refuses_a_small_group_before_any_work(monkeypatch):
     assert (code, out, calls) == (EXIT_USAGE, "", [])
 
 
+def test_expect_refuses_a_group_above_the_exact_ceiling_before_any_work(monkeypatch, capsys):
+    from hamlabels import expectation
+
+    calls = []
+    for name in ("_off_by_one_free_cycles", "_cycles_containing_sum", "_monte_carlo"):
+        real = getattr(expectation, name)
+        monkeypatch.setattr(expectation, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    too_big = str(expectation.MAX_EXACT_ORDER + 1)
+    code, out = run_cli("expect", "--group", "5", "--group", too_big, "--mc-trials", "1000")
+    assert (code, out, calls) == (EXIT_USAGE, "", [])
+    assert f"expect Z{too_big}: " in capsys.readouterr().err
+
+
+def test_expect_prints_means_whose_integers_pass_the_str_digit_limit():
+    # Z1561's mean differences have a 4,302-digit denominator
+    from decimal import Decimal
+
+    from hamlabels import expected_distinct_diffs, expected_distinct_sums
+
+    code, text = run_cli("expect", "--group", "1561")
+    assert code == EXIT_PASS
+    G = group(1561)
+    for rep, fn in zip(json.loads(text)["reports"], (expected_distinct_diffs,
+                                                      expected_distinct_sums)):
+        p, q = rep["exact"].split("/")
+        want = fn(G)
+        assert (Decimal(p), Decimal(q)) == (want.numerator, want.denominator)
+    assert len(json.loads(text)["reports"][0]["exact"].split("/")[1]) == 4302
+
+
 def test_expect_exact_reports_both_modes():
     code, text = run_cli("expect", "--group", "4")
     assert code == EXIT_PASS
@@ -249,6 +281,25 @@ def test_smin_refuses_a_trivial_group_before_any_search(monkeypatch):
     monkeypatch.setattr(cli, "minimum_connection_size",
                         lambda G, **kw: calls.append(str(G)) or real(G, **kw))
     code, out = run_cli("smin", "--group", "4", "--group", "1")
+    assert (code, out, calls) == (EXIT_USAGE, "", [])
+
+
+def test_smin_without_a_budget_refuses_an_order_above_the_memo_limit(capsys):
+    code, out = run_cli("smin", "--group", "17")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "--budget" in capsys.readouterr().err
+    code, out = run_cli("smin", "--group", "17", "--budget", "200000")
+    assert code == EXIT_PASS and out
+
+
+def test_smin_refuses_an_unbudgeted_range_before_any_search(monkeypatch):
+    import hamlabels.cli as cli
+
+    calls = []
+    real = cli.minimum_connection_size
+    monkeypatch.setattr(cli, "minimum_connection_size",
+                        lambda G, **kw: calls.append(str(G)) or real(G, **kw))
+    code, out = run_cli("smin", "--orders", "3..17")
     assert (code, out, calls) == (EXIT_USAGE, "", [])
 
 
@@ -470,6 +521,17 @@ def test_cache_key_ignores_threads(tmp_path):
     _, b = run_cli(*args, "--threads", "2")
     assert b == a
     assert len(list(tmp_path.glob("*.json"))) == 1
+
+
+@pytest.mark.parametrize("argv, given", [
+    (("verify",), {}),
+    (("scan", "--group", "4"), {"groups": ["4"]}),
+    (("expect", "--orders", "3..5"), {"orders": (3, 5)}),
+    (("smin", "--group", "9", "--format", "text"), {"groups": ["9"], "fmt": "text"}),
+    (("construct", "min-diff", "--group", "4"), {"builder": "min-diff", "groups": ["4"]}),
+], ids=["verify", "scan", "expect", "smin", "construct"])
+def test_an_omitted_flag_takes_the_run_config_default(argv, given):
+    assert config_from_args(build_parser().parse_args(argv)) == RunConfig(argv[0], **given)
 
 
 def test_cache_payload_holds_every_field_that_can_change_a_report():

@@ -1,6 +1,7 @@
 """Exact expectation formulas against enumeration, plus the Monte Carlo estimator."""
 
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
@@ -11,6 +12,7 @@ from hamlabels import (
     abelian_groups_in_range,
     asymptotic_residual,
     count_constrained_cycles,
+    expectation,
     expected_distinct_diffs,
     expected_distinct_sums,
     group,
@@ -23,6 +25,7 @@ from hamlabels.expectation import (
     _cycles_containing_diff,
     _cycles_containing_sum,
     _off_by_one_free_cycles,
+    format_rational,
 )
 
 from oracles import (
@@ -134,6 +137,42 @@ def test_expectations_reject_trivial_group():
         expected_distinct_diffs(group(1))
     with pytest.raises(ValueError):
         expected_distinct_sums(group(1))
+
+
+def test_format_rational_writes_integers_past_the_str_digit_limit():
+    # str() refuses an int of more than 4,300 digits by default
+    q = Fraction(1, 10**4301)
+    assert format_rational(q) == "1/1" + "0" * 4301
+    assert format_rational(-q) == "-1/1" + "0" * 4301
+
+
+def test_format_rational_equals_str_below_the_digit_limit():
+    rng = random.Random(2006)
+    for _ in range(200):
+        p = rng.randrange(-10**rng.randint(1, 4300), 10**rng.randint(1, 4300))
+        q = rng.randrange(1, 10**rng.randint(1, 4300))
+        f = Fraction(p, q)
+        assert format_rational(f) == f"{f.numerator}/{f.denominator}"
+
+
+def test_exact_expectations_refuse_orders_above_the_ceiling_before_any_work(monkeypatch):
+    calls = []
+    for name in ("_off_by_one_free_cycles", "_cycles_containing_sum"):
+        real = getattr(expectation, name)
+        monkeypatch.setattr(expectation, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    G = group(expectation.MAX_EXACT_ORDER + 1)
+    for fn in (expected_distinct_diffs, expected_distinct_sums):
+        with pytest.raises(ValueError, match="ceiling"):
+            fn(G)
+    for mode in ("diff", "sum"):
+        with pytest.raises(ValueError, match="ceiling"):
+            asymptotic_residual(G, mode)
+    assert calls == []
+    # below the ceiling both helpers run
+    expected_distinct_diffs(group(5))
+    expected_distinct_sums(group(5))
+    assert calls == ["_off_by_one_free_cycles", "_cycles_containing_sum"]
 
 
 # -- subset counts for the sum side ----------------------------------------------------
