@@ -16,9 +16,12 @@ floats only ever appear in the Monte Carlo estimator and in residual
 reports against the (1 - 1/e)|G| reference line.
 The Monte Carlo stream is keyed by seed and shard, never by the mode, so
 ``monte_carlo_estimates`` shuffles each random cycle once and counts its
-differences and its sums from that one draw.  The counts are label-major:
-label l of row r of a block is flagged at l * rows + r, so one sum over
-the labels counts every row of the block at once.
+differences and its sums from that one draw.  A block of cycles is held
+vertex-major, one cycle per column, so edge j of every cycle is one row.
+When the labels of every mode fit one 64-bit word (n <= 32 for both
+modes, n <= 64 for one), a cycle's labels are the OR of one mask per
+edge and each count is a popcount; larger groups flag each cycle's
+labels in a table of their own and sum the flags.
 """
 
 from __future__ import annotations
@@ -211,12 +214,16 @@ def monte_carlo_estimate(G: GroupSpec, mode: str, trials: int, seed: int) -> McE
     i drawing from a counter-based Philox stream keyed by (seed, i) and
     shuffled by numpy's Fisher-Yates (Generator.permuted), so results are
     identical across platforms and independent of any worker scheduling.
-    A shard is shuffled in blocks of rows, one ``permuted`` call each on
-    the shard's one generator.  ``permuted`` shuffles rows in order, and
-    each row takes the same draws whatever its dtype and however many rows
-    share the call, so the blocks consume the stream exactly as one call
-    on the whole shard does.  The rows are pointer-sized because numpy's
-    shuffle has a fast path for that item size only.
+    The stream is defined by one ``permuted`` call along ``axis=1`` on the
+    whole shard, one row per cycle.  A shard is shuffled in blocks of
+    columns instead, one cycle per column and one ``permuted`` call along
+    ``axis=0`` each, on the shard's one generator.  ``permuted`` shuffles
+    the 1-d slices along its axis one after another, and each slice takes
+    the same draws whatever its dtype, its stride and however many slices
+    share the call, so column c of a block takes the draws of row c of
+    the shard and the blocks consume the stream exactly as one call does.
+    The vertices are pointer-sized because numpy's shuffle has a fast
+    path for that item size only.
     Per-trial counts are integers, so the accumulated moments are exact.
     ``trials`` must be a positive int and ``seed`` an int (a bool is
     neither); anything else is a ValueError before the first shard.
@@ -238,19 +245,31 @@ def monte_carlo_estimates(G: GroupSpec, trials: int, seed: int) -> dict[str, McE
 
 def _monte_carlo(G: GroupSpec, modes: tuple[str, ...], trials: int,
                  seed: int) -> dict[str, McEstimate]:
-    """The shard loop behind both entry points: each block of rows is
+    """The shard loop behind both entry points: each block of cycles is
     shuffled and turned into edge indices once, then its labels are
-    gathered and counted once per mode.
+    counted for every mode.
 
-    The flags are label-major: label l of row r is marked at
-    l * rows + r of an (n, rows) table, and each row's count is one
-    ``np.add.reduce`` over axis 0, where a count along each short row
-    would cost a reduction per row.  So each label table is scaled by
-    ``rows`` once per call, and a block adds only the row's own index.
-    ``rows * n`` is at most 32768 up to order 32,768, so the largest
-    mark, n * rows - 1, fits the int16 the tables hold there.  ``take``
-    gathers into a label buffer of its own, never into its own index,
-    which would make numpy copy."""
+    A block is vertex-major: column c of the (n + 1, rows) ``verts`` is
+    0, cycle c's permutation, 0, so edge j of every cycle is row j of
+    ``verts[:-1] * n + verts[1:]``, and every step below works on whole
+    rows of the block (see ``monte_carlo_estimate`` for why ``axis=0``
+    keeps the stream).
+
+    Where every mode's labels fit one 64-bit word (``len(modes) * n <=
+    64``), edge (a, b) sets bit ``m * n + label`` for mode m in one mask
+    table over the n * n edges, so a block is one ``take`` of a mask per
+    edge, one OR down the columns and one ``np.bitwise_count`` per mode.
+    Larger groups gather each mode's labels from its unscaled table and
+    flag label l of column c at ``c * n + l`` of a (rows, n) table, so
+    each cycle's count is one sum along its row of flags.
+
+    A shard's shorter last block shuffles only its first r columns, but
+    it is counted whole, its other columns still holding earlier cycles,
+    and only the first r counts are kept: every step then runs on whole
+    contiguous buffers, where numpy copies a strided index or ``out``.
+    For the same reason ``take`` runs in mode "clip", every index being
+    in range anyway: under the default mode numpy copies ``out`` before
+    it writes."""
     import numpy as np
 
     _check_order(G, 3)
@@ -262,21 +281,27 @@ def _monte_carlo(G: GroupSpec, modes: tuple[str, ...], trials: int,
         if mode not in ("sum", "diff"):
             raise ValueError(f"mode must be 'sum' or 'diff', got {mode!r}")
     rows = min(_MC_SHARD, trials, max(1, _MC_BLOCK // n))
-    flats = [np.multiply(table.reshape(-1), rows, dtype=table.dtype)
-             for table in (G.indexed.add if mode == "sum" else G.indexed.diff
-                           for mode in modes)]
+    tables = [(G.indexed.add if mode == "sum" else G.indexed.diff).reshape(-1)
+              for mode in modes]
     tail = np.arange(1, n, dtype=np.intp)
-    row = np.arange(rows, dtype=np.intp)[:, None]
     # every block reuses these buffers (fresh ones cost a page fault per
-    # 4 KB); each row of verts is 0, perm, 0, so edge j runs from verts[j]
-    # to verts[j + 1] and the last one back to vertex 0
-    verts = np.zeros((rows, n + 1), dtype=np.intp)
-    edges = np.empty((rows, n), dtype=np.intp)
-    # one mode turns the edge index into flat label positions in place;
-    # a second mode needs the index kept in a buffer of its own
-    index = edges if len(modes) == 1 else np.empty((rows, n), dtype=np.intp)
-    labels = np.empty((rows, n), dtype=flats[0].dtype)
-    seen = np.empty((n, rows), dtype=bool)  # seen[l, r]: label l is in row r
+    # 4 KB); rows 0 and n of verts stay 0
+    verts = np.zeros((n + 1, rows), dtype=np.intp)
+    edges = np.empty((n, rows), dtype=np.intp)
+    one_word = len(modes) * n <= 64
+    if one_word:
+        bits = np.zeros(n * n, dtype=np.uint64)
+        for m, table in enumerate(tables):
+            bits |= np.uint64(1) << (table + m * n).astype(np.uint64)
+        words = np.empty((n, rows), dtype=np.uint64)
+        parts = [np.uint64((1 << n) - 1 << m * n) for m in range(len(modes))]
+    else:
+        # one mode turns the edge index into flag positions in place; a
+        # second mode needs the index kept in a buffer of its own
+        index = edges if len(modes) == 1 else np.empty((n, rows), dtype=np.intp)
+        labels = np.empty((n, rows), dtype=tables[0].dtype)
+        column = np.arange(0, rows * n, n, dtype=np.intp)
+        seen = np.empty((rows, n), dtype=bool)  # seen[c, l]: label l is in column c
     total = [0] * len(modes)
     total_sq = [0] * len(modes)
     done = 0
@@ -287,17 +312,26 @@ def _monte_carlo(G: GroupSpec, modes: tuple[str, ...], trials: int,
             np.random.Philox(key=np.array([seed % 2**64, shard], dtype=np.uint64))
         )
         for r in (min(rows, k - i) for i in range(0, k, rows)):
-            v, x, e = verts[:r], index[:r], edges[:r]
-            rng.permuted(np.broadcast_to(tail, (r, n - 1)), axis=1, out=v[:, 1:n])
-            np.multiply(v[:, :-1], n, out=x)
-            x += v[:, 1:]
-            for m, flat in enumerate(flats):
-                np.add(flat.take(x, out=labels[:r]), row[:r], out=e)
-                seen.fill(False)
-                seen.reshape(-1)[e] = True
-                counts = np.add.reduce(seen[:, :r], axis=0)
-                total[m] += int(counts.sum())
-                total_sq[m] += int((counts.astype(np.int64) ** 2).sum())
+            rng.permuted(np.broadcast_to(tail[:, None], (n - 1, r)), axis=0,
+                         out=verts[1:n, :r])
+            np.multiply(verts[:-1], n, out=edges)
+            edges += verts[1:]
+            if one_word:
+                bits.take(edges, out=words, mode="clip")
+                word = np.bitwise_or.reduce(words, axis=0)
+                counts = [np.bitwise_count(word & part) for part in parts]
+            else:
+                counts = []
+                for table in tables:
+                    table.take(edges, out=labels, mode="clip")
+                    np.add(labels, column, out=index)
+                    seen.fill(False)
+                    seen.reshape(-1)[index] = True
+                    counts.append(np.add.reduce(seen, axis=1))
+            for m, c in enumerate(counts):
+                c = c[:r]
+                total[m] += int(c.sum())
+                total_sq[m] += int((c.astype(np.int64) ** 2).sum())
         done += k
         shard += 1
     return {mode: _estimate(total[m], total_sq[m], trials, seed)

@@ -294,17 +294,25 @@ def test_monte_carlo_close_to_exact_value():
 def test_monte_carlo_replays_the_whole_shard_stream():
     # one shard, two shards, and a partial shard after full ones, on seeds
     # that wrap modulo 2**64 from both sides; the one-pass estimates of
-    # both modes equal the one-mode ones
-    for G in abelian_groups_in_range(3, 24):
+    # both modes equal the one-mode ones.  Both modes' labels fit one
+    # 64-bit mask up to order 32 (Z31, Z32, Z2xZ16) and are flagged in a
+    # table above it (Z33, Z34); one mode's fit up to order 64 (Z64, in
+    # blocks of 512 cycles), not at Z65
+    both_modes = [*abelian_groups_in_range(3, 24), group(31), group(32),
+                  group(2, 16), group(33), group(34)]
+    cases = [(G, True) for G in both_modes] + [(group(64), False), (group(65), False)]
+    for G, both_at_once in cases:
         for trials in (1, 1025, 4097):
             for seed in (0, -5, 2**64 + 3):
-                both = monte_carlo_estimates(G, trials, seed)
-                assert list(both) == ["diff", "sum"]
+                if both_at_once:
+                    both = monte_carlo_estimates(G, trials, seed)
+                    assert list(both) == ["diff", "sum"]
                 for mode in ("sum", "diff"):
                     est = monte_carlo_estimate(G, mode, trials, seed)
                     want = raw_monte_carlo(G, mode, trials, seed)
                     assert (est.mean, est.std_error) == want, (G, mode, trials, seed)
-                    assert both[mode] == est, (G, mode, trials, seed)
+                    if both_at_once:
+                        assert both[mode] == est, (G, mode, trials, seed)
 
 
 @pytest.mark.parametrize("factors, mode, trials, seed, mean, std_error", [
@@ -329,6 +337,19 @@ def test_monte_carlo_works_in_row_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 16_000_000
+
+
+def test_monte_carlo_reads_the_label_tables_without_copying_them():
+    # a scaled copy of each n x n table would peak at twice one table
+    G = group(2000)
+    G.indexed.add, G.indexed.diff
+    tracemalloc.start()
+    try:
+        monte_carlo_estimates(G, 10, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < G.indexed.add.nbytes
 
 
 def test_monte_carlo_validates_input():
