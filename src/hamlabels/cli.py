@@ -32,6 +32,7 @@ from . import cache as cache_mod
 from . import search
 from .constructions import BUILDERS, ConstructionError, _require
 from .expectation import (
+    DIGITS,
     _check_exact_order,
     _residual,
     expected_distinct_diffs,
@@ -66,9 +67,6 @@ CACHE_ENV = "HAMLABELS_CACHE"
 # Part of every cache key, with the package version: raise it whenever the
 # bytes of a report change for the same run parameters.
 REPORT_SCHEMA = 2
-
-# Significant digits of the decimals in expect reports.
-DIGITS = 12
 
 __all__ = ["RunConfig", "run", "main", "EXIT_PASS", "EXIT_FAIL", "EXIT_USAGE", "EXIT_INCONCLUSIVE"]
 

@@ -18,10 +18,10 @@ The Monte Carlo stream is keyed by seed and shard, never by the mode, so
 ``monte_carlo_estimates`` shuffles each random cycle once and counts its
 differences and its sums from that one draw.  A block of cycles is held
 vertex-major, one cycle per column, so edge j of every cycle is one row.
-When the labels of every mode fit one 64-bit word (n <= 32 for both
-modes, n <= 64 for one), a cycle's labels are the OR of one mask per
-edge and each count is a popcount; larger groups flag each cycle's
-labels in a table of their own and sum the flags.
+Where the modes fit one word of ``GroupIndex.label_masks``, the mask
+layout it owns for this and the scan (n <= 32 for both modes, n <= 64 for
+one), a cycle's labels are the OR of one mask per edge and each count is
+a popcount; larger groups flag each cycle's labels and sum the flags.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .groups import (
     _check_order,
     _divisors,
     _element_indices,
+    _label_counts,
 )
 
 __all__ = [
@@ -62,6 +63,9 @@ RESIDUAL_BOUND = 2.0
 # a(N) up to n, Theta(n^2 log n) bits, and Z10000 takes about 3 s and
 # 100 MB for both modes.
 MAX_EXACT_ORDER = 10_000
+
+# Significant digits of a residual, and of the decimals in expect reports.
+DIGITS = 12
 
 _MC_SHARD = 4096
 # a shard is shuffled and counted in blocks of about this many vertices,
@@ -172,7 +176,7 @@ def expected_distinct_sums(G: GroupSpec) -> Fraction:
     return Fraction(total, factorial(n - 1))
 
 
-def asymptotic_residual(G: GroupSpec, mode: str, digits: int = 12) -> Decimal:
+def asymptotic_residual(G: GroupSpec, mode: str, digits: int = DIGITS) -> Decimal:
     """Exact expectation minus (1 - 1/e)|G|, to the given significant digits.
 
     Report-only: never feeds back into any exact computation.
@@ -188,7 +192,7 @@ def asymptotic_residual(G: GroupSpec, mode: str, digits: int = 12) -> Decimal:
     return _residual(exact, G.order, digits)
 
 
-def _residual(exact: Fraction, n: int, digits: int = 12) -> Decimal:
+def _residual(exact: Fraction, n: int, digits: int = DIGITS) -> Decimal:
     """``exact`` minus (1 - 1/e)n, to the given significant digits."""
     with localcontext() as ctx:
         ctx.prec = digits + 10
@@ -255,13 +259,12 @@ def _monte_carlo(G: GroupSpec, modes: tuple[str, ...], trials: int,
     rows of the block (see ``monte_carlo_estimate`` for why ``axis=0``
     keeps the stream).
 
-    Where every mode's labels fit one 64-bit word (``len(modes) * n <=
-    64``), edge (a, b) sets bit ``m * n + label`` for mode m in one mask
-    table over the n * n edges, so a block is one ``take`` of a mask per
-    edge, one OR down the columns and one ``np.bitwise_count`` per mode.
-    Larger groups gather each mode's labels from its unscaled table and
-    flag label l of column c at ``c * n + l`` of a (rows, n) table, so
-    each cycle's count is one sum along its row of flags.
+    Where ``GroupIndex.label_masks(modes)`` gives one word per edge, a
+    block is one ``take`` of a mask per edge, one OR down the columns and
+    one ``_label_counts``.  Where it gives None, each mode's labels are
+    gathered from its ``GroupIndex.label_table``, and label l of column c
+    is flagged at ``c * n + l`` of a (rows, n) table, so each cycle's
+    count is one sum along its row of flags.
 
     A shard's shorter last block shuffles only its first r columns, but
     it is counted whole, its other columns still holding earlier cycles,
@@ -277,25 +280,17 @@ def _monte_carlo(G: GroupSpec, modes: tuple[str, ...], trials: int,
     _check_count("trials", trials)
     if type(seed) is bool or not isinstance(seed, int):
         raise ValueError(f"seed must be an integer, got {seed!r}")
-    for mode in modes:
-        if mode not in ("sum", "diff"):
-            raise ValueError(f"mode must be 'sum' or 'diff', got {mode!r}")
     rows = min(_MC_SHARD, trials, max(1, _MC_BLOCK // n))
-    tables = [(G.indexed.add if mode == "sum" else G.indexed.diff).reshape(-1)
-              for mode in modes]
+    masks = G.indexed.label_masks(modes)
     tail = np.arange(1, n, dtype=np.intp)
     # every block reuses these buffers (fresh ones cost a page fault per
     # 4 KB); rows 0 and n of verts stay 0
     verts = np.zeros((n + 1, rows), dtype=np.intp)
     edges = np.empty((n, rows), dtype=np.intp)
-    one_word = len(modes) * n <= 64
-    if one_word:
-        bits = np.zeros(n * n, dtype=np.uint64)
-        for m, table in enumerate(tables):
-            bits |= np.uint64(1) << (table + m * n).astype(np.uint64)
-        words = np.empty((n, rows), dtype=np.uint64)
-        parts = [np.uint64((1 << n) - 1 << m * n) for m in range(len(modes))]
+    if masks is not None:
+        words = np.empty((n, rows), dtype=masks.dtype)
     else:
+        tables = [G.indexed.label_table(mode) for mode in modes]
         # one mode turns the edge index into flag positions in place; a
         # second mode needs the index kept in a buffer of its own
         index = edges if len(modes) == 1 else np.empty((n, rows), dtype=np.intp)
@@ -316,10 +311,9 @@ def _monte_carlo(G: GroupSpec, modes: tuple[str, ...], trials: int,
                          out=verts[1:n, :r])
             np.multiply(verts[:-1], n, out=edges)
             edges += verts[1:]
-            if one_word:
-                bits.take(edges, out=words, mode="clip")
-                word = np.bitwise_or.reduce(words, axis=0)
-                counts = [np.bitwise_count(word & part) for part in parts]
+            if masks is not None:
+                masks.take(edges, out=words, mode="clip")
+                counts = _label_counts(np.bitwise_or.reduce(words, 0), n, len(modes))
             else:
                 counts = []
                 for table in tables:

@@ -243,10 +243,10 @@ class GroupIndex:
     asked for only, each by one mixed-radix comprehension per invariant
     factor and kept as a compact read-only memoryview (int16, or int32
     above order 32,768).  ``in_2g`` flags the members of 2G = {2a}, one
-    byte per element.  Only the n x n ``add`` and ``diff`` tables are
-    numpy arrays, built on first use; they are the only members that
-    import numpy, and code that must scale to large groups never touches
-    them.
+    byte per element.  Only the n x n ``add`` and ``diff`` tables, built
+    on first use, and the ``label_masks`` built from them, the one mask
+    layout of the scan and the Monte Carlo, are numpy arrays; they alone
+    import numpy, and code that must scale never touches them.
     """
 
     def __init__(self, G: GroupSpec):
@@ -300,24 +300,57 @@ class GroupIndex:
     def add(self) -> np.ndarray:
         """add[i, j] is the index of els[i] + els[j].
 
-        Built one factor at a time: with G = H + Z_m and i = h * m + x,
-        the entry for (h, x) + (h', x') is addH[h, h'] * m + (x + x') % m.
+        Built from the last factor straight into its dtype, with no other
+        array of n^2 entries: for G = Z_m + H and i = x * |H| + h, (x, h) +
+        (x', h') is ((x + x') % m) * |H| + addH[h, h'], where row x of
+        (x + x') % m is a window of 0..m-1, 0..m-2.
         """
         import numpy as np
 
-        table = np.zeros((1, 1), dtype=np.int32)
-        for m in self._factors:
-            x = np.arange(m, dtype=np.int32)
+        table = np.zeros((1, 1), dtype=self._typecode)
+        for m in reversed(self._factors):
             k = len(table)
-            step = np.add.outer(x, x) % m
-            table = (table[:, None, :, None] * m
-                     + step[None, :, None, :]).reshape(k * m, k * m)
-        return table.astype(self._typecode)
+            x = np.arange(m, dtype=table.dtype)
+            step = np.lib.stride_tricks.sliding_window_view(np.concatenate([x, x[:-1]]), m)
+            out = np.empty((m, k, m, k), dtype=table.dtype)
+            np.multiply(step[:, None, :, None], k, out=out)
+            out += table[None, :, None, :]
+            table = out.reshape(m * k, m * k)
+        return table
 
     @cached_property
     def diff(self) -> np.ndarray:
         """diff[i, j] is the index of els[j] - els[i], the label of edge i -> j."""
         return self.add[self.neg]
+
+    def label_table(self, mode: str) -> np.ndarray:
+        """The n x n labels of ``mode``: ``add`` for "sum", ``diff`` for "diff"."""
+        if mode not in ("sum", "diff"):
+            raise ValueError(f"mode must be 'sum' or 'diff', got {mode!r}")
+        return self.add if mode == "sum" else self.diff
+
+    def label_masks(self, modes: tuple[str, ...]) -> np.ndarray | None:
+        """The n x n table in which the edge i -> j sets bit ``k * n + l``
+        for its label l in ``modes[k]``: int32 while the width ``len(modes)
+        * n`` is below 32 bits (``np.bitwise_count`` counts the bits of
+        |x|), uint64 up to 64, and None past one word."""
+        import numpy as np
+
+        n = self.n
+        if len(modes) * n > 64:
+            return None
+        dtype = np.int32 if len(modes) * n < 32 else np.uint64
+        return np.bitwise_or.reduce([1 << (self.label_table(mode) + k * n).astype(dtype)
+                                     for k, mode in enumerate(modes)])
+
+
+def _label_counts(masks: np.ndarray, n: int, k: int) -> list[np.ndarray]:
+    """Each of k modes' label counts, as uint8: the set bits of its n-bit
+    field of ``masks`` (the layout of ``GroupIndex.label_masks``)."""
+    import numpy as np
+
+    field = (1 << n) - 1
+    return [np.bitwise_count(masks & field << m * n) for m in range(k)]
 
 
 def _check_count(name: str, value, *, or_none: bool = False) -> None:

@@ -23,9 +23,9 @@ docstring; this module guarantees:
 - Scale.  The Cayley graph tests, the minimum search and the rainbow
   searches read the translation rows ``GroupIndex.shift`` caches and
   never build an n x n table.
-- numpy.  Only the scan computes with arrays, and its functions import
-  numpy themselves, so importing this module, the Cayley searches and the
-  rainbow searches leave numpy unloaded.
+- numpy.  Only the scan computes with arrays, counting labels in the mask
+  layout ``GroupIndex.label_masks`` owns, and it imports numpy itself: this
+  module, the Cayley searches and the rainbow searches leave it unloaded.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .groups import (
     _check_count,
     _check_order,
     _element_indices,
+    _label_counts,
     span,
 )
 from .trails import Trail, sum_labels, trail_to_json_dict
@@ -230,38 +231,12 @@ def _row_halves(m: int) -> tuple[np.ndarray, np.ndarray]:
     return edges, key
 
 
-# bit of a label mask where the sum labels start; the diff labels take the
-# bits below it, so both fit in a non-negative int32 while n <= 15, as they
-# must: np.bitwise_count counts the bits of |x|, so a set bit 31 miscounts
-_SUM_BIT = 16
-
-
-def _label_counts(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The diff and the sum label counts of int32 label masks, as uint8:
-    the set bits below ``_SUM_BIT`` and from it."""
-    import numpy as np
-
-    return (np.bitwise_count(masks & ((1 << _SUM_BIT) - 1)),
-            np.bitwise_count(masks >> _SUM_BIT))
-
-
-def _label_masks(G: GroupSpec) -> np.ndarray:
-    """The n x n int32 table whose entry for the edge i -> j has bit l set
-    for its diff label l and bit ``_SUM_BIT`` + l for its sum label l."""
-    import numpy as np
-
-    gi = G.indexed
-    return (np.left_shift(1, gi.diff, dtype=np.int32)
-            | np.left_shift(1 << _SUM_BIT, gi.add, dtype=np.int32))
-
-
-def _block_counts(n: int, head: tuple[int, ...],
-                  labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _block_counts(n: int, head: tuple[int, ...], labels: np.ndarray) -> list[np.ndarray]:
     """The distinct diff and sum counts of the cycles 0, *head, then the
     other vertices in each order of ``_lex_permutations``: the set bits of
-    the OR of the edges' ``_label_masks``, met in the middle of each row
-    (Horowitz & Sahni, J. ACM 21 (1974)).  From the block's small table of
-    m + 1 rows and columns, one mask is ORed for each prefix of
+    the OR of the edges' ``GroupIndex.label_masks``, met in the middle of
+    each row (Horowitz & Sahni, J. ACM 21 (1974)).  From the block's small
+    table of m + 1 rows and columns, one mask is ORed for each prefix of
     ``_row_halves``, the head and the edges through the prefix, and one
     for each key, the prefix's last vertex, the suffix and the edge back to
     0; each row's mask is one gather of its key's, ORed with its
@@ -285,7 +260,7 @@ def _block_counts(n: int, head: tuple[int, ...],
         suf = small[:, :m, None] | suf[:m].reshape(1, m, -1)
     masks = suf.take(key).reshape(len(pre), -1)
     masks |= pre[:, None]
-    return _label_counts(masks.ravel())
+    return _label_counts(masks.ravel(), n, 2)
 
 
 def _usable_cpus() -> int:
@@ -304,8 +279,8 @@ def extremal_scan(G: GroupSpec, *, threads: int = 1) -> ExtremalReport:
     (all but the last at orders up to 10), and permutes the rest by one
     cached lexicographic table, so no Python tuple is built per cycle.
     Each cycle's distinct labels are counted as the set bits of the OR of
-    its edges' one-bit label masks (``_label_masks``), with no sort; the
-    OR meets in the middle of each row (``_block_counts``).
+    its edges' one-bit label masks (``GroupIndex.label_masks``), with no
+    sort; the OR meets in the middle of each row (``_block_counts``).
 
     Only the heads whose first vertex is the least of its Aut(G)-class
     (``_automorphism_classes``) are scanned.  An automorphism phi fixes 0
@@ -341,7 +316,7 @@ def extremal_scan(G: GroupSpec, *, threads: int = 1) -> ExtremalReport:
     heads = [h for h in itertools.permutations(range(1, n), n - 1 - min(n - 2, _BLOCK))
              if h[0] in size]
     table = _lex_permutations(n - 1 - len(heads[0]))
-    labels = _label_masks(G)
+    labels = G.indexed.label_masks(("diff", "sum"))
 
     def scan(run: list[tuple[int, ...]]) -> list:
         out = []

@@ -136,8 +136,7 @@ def _hamiltonian_once(G: GroupSpec):
     return lambda S: ask(frozenset(S))
 
 
-def _check_min_connection(G: GroupSpec, hamiltonian=None) -> list[VerificationRecord]:
-    hamiltonian = hamiltonian or _hamiltonian_once(G)
+def _check_min_connection(G: GroupSpec, hamiltonian) -> list[VerificationRecord]:
     lower, upper = _size_bounds(G)
     size = minimum_connection_size(G).size
     for k in range(1, lower):

@@ -1,5 +1,6 @@
 """The integer-index group core: vectors and tables against tuple arithmetic."""
 
+import tracemalloc
 from math import prod
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hamlabels import abelian_groups_in_range, group, is_connected_cayley, verify
 from hamlabels.search import _cayley_adjacency, _least_degree
 
-from oracles import cycle_edges, raw_add, raw_elements
+from oracles import cycle_edges, raw_add, raw_elements, raw_sub
 
 SMALL_GROUPS = abelian_groups_in_range(1, 64)
 
@@ -145,3 +146,41 @@ def test_index_tables_are_compact():
     gi = group(2, 4).indexed
     for table in (gi.add, gi.diff):
         assert table.shape == (8, 8) and table.itemsize == 2
+
+
+def test_add_table_is_built_with_no_temporary_of_its_size():
+    # each factor's step is written straight into the result's dtype: the
+    # int32 temporaries of n^2 entries the table once went through peaked
+    # near 5x its own bytes
+    group(2).indexed.add  # the imports the build makes, outside the trace
+    for G in (group(2000), group(40, 40)):
+        gi = G.indexed
+        tracemalloc.start()
+        try:
+            add = gi.add
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * add.nbytes, (G, peak, add.nbytes)
+
+
+@pytest.mark.parametrize("modes", [("diff",), ("sum",), ("diff", "sum")], ids="+".join)
+def test_label_masks_set_each_label_bit_from_tuple_arithmetic(modes):
+    ops = {"diff": lambda fs, a, b: raw_sub(fs, b, a), "sum": raw_add}
+    for G in abelian_groups_in_range(2, 65):
+        n = G.order
+        width = len(modes) * n
+        masks = G.indexed.label_masks(modes)
+        assert (masks is None) == (width > 64), (G, modes)
+        if masks is None:
+            continue
+        # np.bitwise_count counts the bits of |x|, so int32 only while bit
+        # 31 stays clear
+        assert masks.dtype == (np.int32 if width < 32 else np.uint64), (G, modes)
+        assert masks.shape == (n, n)
+        fs = G.invariant_factors
+        els = raw_elements(fs)
+        index = {a: i for i, a in enumerate(els)}
+        want = [[sum(1 << k * n + index[ops[mode](fs, a, b)] for k, mode in enumerate(modes))
+                 for b in els] for a in els]
+        assert masks.tolist() == want, (G, modes)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from hamlabels import search
+from hamlabels.groups import _label_counts
 from hamlabels import (
     Trail,
     abelian_groups_in_range,
@@ -162,7 +163,7 @@ def test_automorphism_classes_are_the_brute_force_orbits(G):
 def test_one_class_shares_one_block_histogram(order):
     # what lets the scan walk one first vertex per class
     for G in abelian_groups_in_range(order, order):
-        labels = search._label_masks(G)
+        labels = G.indexed.label_masks(("diff", "sum"))
         for c in search._automorphism_classes(G)[1:]:
             hists = {tuple(tuple(np.bincount(counts, minlength=order + 1))
                            for counts in search._block_counts(order, (v,), labels))
@@ -336,7 +337,7 @@ def _check_block_against_sorted_rows(G, head):
     rest = [k for k in range(1, n) if k not in head]
     verts = np.array([(0, *head, *p) for p in itertools.permutations(rest)])
     edges = cycle_edges(verts, n)
-    got = search._block_counts(n, head, search._label_masks(G))
+    got = search._block_counts(n, head, gi.label_masks(("diff", "sum")))
     for table, counts in zip((gi.diff, gi.add), got):
         assert np.array_equal(counts, distinct_per_row(table.take(edges))), (G, head)
 
@@ -383,12 +384,12 @@ def test_row_halves_decode_to_the_permutation_rows(m):
 
 @pytest.mark.parametrize("n", range(search.MAX_SCAN_ORDER + 1))
 def test_popcount_table(n):
-    # every n-bit diff half beside every n-bit sum half, as the int32 masks
-    # of a scan, counts to the table of popcounts
+    # every n-bit diff field beside every n-bit sum field, as the int32
+    # masks of a scan, counts to the table of popcounts
     table = [bin(x).count("1") for x in range(1 << n)]
     low = np.arange(1 << n, dtype=np.int32)
     for high in (low, low[::-1]):
-        diffs, sums = search._label_counts(low | high << search._SUM_BIT)
+        diffs, sums = _label_counts(low | high << n, n, 2)
         assert diffs.tolist() == table
         assert sums.tolist() == [table[x] for x in high.tolist()]
 
@@ -397,14 +398,16 @@ def test_every_scan_mask_is_a_non_negative_int32():
     # np.bitwise_count counts the bits of |x| (bitwise_count(-3) == 2), so
     # a mask with bit 31 set would be miscounted: every scanned order's diff
     # and sum masks must fit side by side below it
-    assert search._SUM_BIT + search.MAX_SCAN_ORDER <= 31
+    assert 2 * search.MAX_SCAN_ORDER <= 31
     assert np.bitwise_count(np.int32(-3)) == 2
     for G in abelian_groups_in_range(2, search.MAX_SCAN_ORDER):
-        masks = search._label_masks(G)
+        n = G.order
+        masks = G.indexed.label_masks(("diff", "sum"))
         assert masks.dtype == np.int32, G
-        assert 0 <= masks.min() and masks.max() < 1 << search._SUM_BIT + G.order, G
-        # the diff labels stay below the sum labels' first bit
-        assert (masks & (1 << search._SUM_BIT) - 1).max() < 1 << G.order, G
+        assert 0 <= masks.min() and masks.max() < 1 << 2 * n, G
+        # one diff label below bit n, one sum label from it
+        assert (np.bitwise_count(masks & (1 << n) - 1) == 1).all(), G
+        assert (np.bitwise_count(masks >> n) == 1).all(), G
 
 
 @pytest.mark.parametrize("order", [9, 10])
@@ -418,7 +421,8 @@ def test_block_counts_match_the_oracles_on_sampled_rows(order):
         head = (rng.randrange(1, order),)
         rest = [v for v in range(1, order) if v not in head]
         table = search._lex_permutations(len(rest))
-        diffs, sums = search._block_counts(order, head, search._label_masks(G))
+        diffs, sums = search._block_counts(order, head,
+                                           G.indexed.label_masks(("diff", "sum")))
         assert len(diffs) == len(sums) == len(table) == factorial(order - 2)
         for r in [0, len(table) - 1, *rng.sample(range(len(table)), 300)]:
             verts = [els[v] for v in (0, *head, *(rest[i] for i in table[r]))]
