@@ -6,12 +6,13 @@ range ("--orders 3..10", expanding to every abelian group of each order).
 Reports are byte-deterministic for a fixed configuration: the thread
 count only changes wall time, exact rationals are printed as "p/q", and
 any decimal shown approximates a rational printed next to it.
-construct, scan, expect and smin run the library's own domain check on
-every group before any work, and a refused group is a usage error that
-names the command and the group; scan and verify refuse an order range
-above ``search.MAX_SCAN_ORDER`` (13) by its top, before expanding it.
-expect refuses an order above ``expectation.MAX_EXACT_ORDER`` (10000), and
-smin without --budget one above ``search.DEFAULT_DP_LIMIT`` (16).
+``run`` checks a config before the cache lookup and any work.  Each
+command runs the library's own domain check on each group as the range
+expands to it, so the first refused group, a usage error naming the
+command and the group, stops the expansion before any work: scan and
+verify refuse an order above ``search.MAX_SCAN_ORDER`` (13), expect one
+above ``expectation.MAX_EXACT_ORDER`` (10000), and smin without --budget
+one above ``search.DEFAULT_DP_LIMIT`` (16).
 
 Exit codes: 0 all pass, 1 some check failed, 2 usage error, 3 a search
 budget left an smin result inconclusive.
@@ -20,11 +21,12 @@ budget left an smin result inconclusive.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 from collections.abc import Callable, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -43,9 +45,10 @@ from .expectation import (
 from .groups import (
     GroupParseError,
     GroupSpec,
+    _check_count,
     _check_order,
     _divisors,
-    abelian_groups_in_range,
+    abelian_groups,
     parse_group,
 )
 from .search import (
@@ -55,7 +58,7 @@ from .search import (
     minimum_connection_size,
 )
 from .trails import diff_labels, sum_labels, trail_to_json_dict
-from .verify import VerificationRecord, verify_orders
+from .verify import VerificationRecord, _check_verify_order, verify_group
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -67,6 +70,8 @@ CACHE_ENV = "HAMLABELS_CACHE"
 # Part of every cache key, with the package version: raise it whenever the
 # bytes of a report change for the same run parameters.
 REPORT_SCHEMA = 2
+
+VERIFY_ORDERS = (3, 10)  # verify's range when --orders is not given
 
 __all__ = ["RunConfig", "run", "main", "EXIT_PASS", "EXIT_FAIL", "EXIT_USAGE", "EXIT_INCONCLUSIVE"]
 
@@ -109,41 +114,49 @@ def _parse_orders(text: str) -> tuple[int, int]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"bad order range {text!r}; expected e.g. 3..10") from None
-    if lo < 1 or hi < lo:
-        raise argparse.ArgumentTypeError(f"bad order range {text!r}")
     return lo, hi
 
 
-def _positive_int(text: str) -> int:
+def _check_config(cfg: RunConfig) -> None:
+    """Refuse a config no command runs, before the cache lookup."""
+    if cfg.command not in _COMMANDS:
+        raise UsageError(f"unknown command {cfg.command!r}")
+    if cfg.fmt not in _RENDERERS:
+        raise UsageError(f"unknown format {cfg.fmt!r}")
+    if cfg.fmt == "csv" and cfg.command not in _CSV_TABLES:
+        raise UsageError(f"csv output is not available for {cfg.command!r}")
+    lo, hi = cfg.orders or (1, 1)
     try:
-        value = int(text)
-        if value < 1:
-            raise ValueError
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}") from None
-    return value
+        _check_count("--threads", cfg.threads)
+        _check_count("--budget", cfg.budget, or_none=True)
+        _check_count("--mc-trials", cfg.mc_trials, or_none=True)
+        _check_count("the least order", lo)
+        _check_count("the number of orders", hi - lo + 1)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _resolve_groups(cfg: RunConfig,
                     admit: Callable[[GroupSpec], None] = lambda G: None) -> list[GroupSpec]:
-    """The groups a config names, each passed to ``admit`` before any is
-    returned; a ValueError from ``admit`` becomes a UsageError."""
-    out: list[GroupSpec] = []
+    """The named groups, then each order's groups, each passed to ``admit``
+    as it is reached, so a range expands no further than its first refused
+    group; a ValueError from ``admit`` becomes a UsageError."""
+    named = []
     for desc in cfg.groups:
         try:
-            out.append(parse_group(desc))
+            named.append(parse_group(desc))
         except GroupParseError as exc:
             raise UsageError(str(exc)) from None
-    if cfg.orders:
-        out.extend(abelian_groups_in_range(*cfg.orders))
-    if not out:
-        raise UsageError("no groups given; use --group or --orders")
-    for G in out:
+    orders = range(cfg.orders[0], cfg.orders[1] + 1) if cfg.orders else ()
+    out: list[GroupSpec] = []
+    for G in itertools.chain(named, itertools.chain.from_iterable(map(abelian_groups, orders))):
         try:
             admit(G)
         except ValueError as exc:
             raise UsageError(f"{cfg.command} {G}: {exc}") from None
+        out.append(G)
+    if not out:
+        raise UsageError("no groups given; use --group or --orders")
     return out
 
 
@@ -200,12 +213,6 @@ def _cmd_construct(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def _cmd_scan(cfg: RunConfig) -> tuple[dict, int]:
-    # an order range is refused by its top before it is expanded
-    if cfg.orders:
-        try:
-            _check_scan_order(cfg.orders[1])
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
     groups = _resolve_groups(cfg, lambda G: _check_scan_order(G.order))
     reports = [extremal_scan(G, threads=cfg.threads).to_json_dict() for G in groups]
     return {"command": "scan", "reports": reports}, EXIT_PASS
@@ -265,11 +272,10 @@ def _cmd_smin(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def _cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
-    lo, hi = cfg.orders if cfg.orders else (3, 10)
-    try:
-        records = verify_orders(lo, hi, threads=cfg.threads)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    # a copy, not cfg: the caller's config keys the cache as it was given
+    lo, hi = cfg.orders or VERIFY_ORDERS
+    groups = _resolve_groups(replace(cfg, groups=(), orders=(lo, hi)), _check_verify_order)
+    records = [r for G in groups for r in verify_group(G, threads=cfg.threads)]
     # no verify check runs under a budget; the key stays for report readers
     summary = {"pass": 0, "fail": 0, "inconclusive": 0}
     for r in records:
@@ -306,10 +312,7 @@ _CSV_TABLES = {
 
 
 def _render_csv(payload: dict) -> str:
-    cmd = payload["command"]
-    if cmd not in _CSV_TABLES:
-        raise UsageError(f"csv output is not available for {cmd!r}")
-    header, key = _CSV_TABLES[cmd]
+    header, key = _CSV_TABLES[payload["command"]]
     columns = header.split(",")
     lines = [header] + [",".join(str(row[c]) for c in columns) for row in payload[key]]
     return "\n".join(lines) + "\n"
@@ -342,14 +345,12 @@ def _render_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render(payload: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if fmt == "csv":
-        return _render_csv(payload)
-    if fmt == "text":
-        return _render_text(payload)
-    raise UsageError(f"unknown format {fmt!r}")
+# format -> renderer of a payload
+_RENDERERS = {
+    "json": lambda payload: json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    "csv": _render_csv,
+    "text": _render_text,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -360,19 +361,20 @@ def run(cfg: RunConfig, out=None) -> int:
     """Execute a config and write the report; returns the exit status."""
     out = out if out is not None else sys.stdout
     cache_root = cfg.cache_path or os.environ.get(CACHE_ENV)
-    key = cache_mod.cache_key(cfg.cache_payload()) if cache_root else None
-    if key:
-        try:
-            hit = cache_mod.cache_get(cache_root, key)
-        except OSError as exc:
-            print(f"warning: cache not read: {exc}", file=sys.stderr)
-            hit = None
-        if hit is not None:
-            out.write(hit["report"])
-            return hit["exit_code"]
     try:
+        _check_config(cfg)
+        key = cache_mod.cache_key(cfg.cache_payload()) if cache_root else None
+        if key:
+            try:
+                hit = cache_mod.cache_get(cache_root, key)
+            except OSError as exc:
+                print(f"warning: cache not read: {exc}", file=sys.stderr)
+                hit = None
+            if hit is not None:
+                out.write(hit["report"])
+                return hit["exit_code"]
         payload, code = _COMMANDS[cfg.command][0](cfg)
-        report = _render(payload, cfg.fmt)
+        report = _RENDERERS[cfg.fmt](payload)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -409,18 +411,18 @@ def build_parser() -> argparse.ArgumentParser:
          help="group descriptor, e.g. 12 or 2x4 or Z2xZ6 (repeatable)")
     flag("info construct scan expect smin verify", "--orders", type=_parse_orders,
          help="order range A..B expanding to all abelian groups "
-              "(verify: default 3..10)")
-    flag("smin", "--budget", type=_positive_int,
+              "(verify: default {}..{})".format(*VERIFY_ORDERS))
+    flag("smin", "--budget", type=int,
          help="search budget in nodes (reproducible, not wall time)")
-    flag("scan verify", "--threads", type=_positive_int,
+    flag("scan verify", "--threads", type=int,
          help="the most scan threads, no more than one per CPU and per "
               f"{search._BLOCKS_PER_THREAD} blocks (wall time only, never output)")
     flag("expect", "--seed", type=int,
          help="seed for Monte Carlo sampling")
-    flag("expect", "--mc-trials", dest="mc_trials", type=_positive_int,
+    flag("expect", "--mc-trials", dest="mc_trials", type=int,
          help="add a Monte Carlo estimate with this many trials")
     every = " ".join(commands)
-    flag(every, "--format", dest="fmt", choices=["json", "csv", "text"])
+    flag(every, "--format", dest="fmt", choices=list(_RENDERERS))
     flag(every, "--cache", dest="cache_path",
          help=f"report cache directory (or ${CACHE_ENV})")
     return parser

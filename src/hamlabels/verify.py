@@ -31,7 +31,7 @@ from .expectation import (
     expected_distinct_sums,
     format_rational,
 )
-from .groups import GroupSpec, abelian_groups_in_range
+from .groups import GroupSpec, _check_order
 from .search import (
     ExtremalReport,
     _check_scan_order,
@@ -45,7 +45,7 @@ from .search import (
     minimum_connection_size,
 )
 
-__all__ = ["VerificationRecord", "verify_group", "verify_orders", "PASS", "FAIL"]
+__all__ = ["VerificationRecord", "verify_group", "PASS", "FAIL"]
 
 PASS = "pass"
 FAIL = "fail"
@@ -214,8 +214,15 @@ def _check_constructions(G: GroupSpec) -> VerificationRecord:
                 f"verified: {' '.join(ran)}", True)
 
 
+def _check_verify_order(G: GroupSpec) -> None:
+    """Refuse an order below 3 or above ``MAX_SCAN_ORDER``, before any check."""
+    _check_order(G, 3)
+    _check_scan_order(G.order)
+
+
 def verify_group(G: GroupSpec, *, threads: int = 1) -> list[VerificationRecord]:
     """All checks applicable to a single group."""
+    _check_verify_order(G)
     rep = extremal_scan(G, threads=threads)
     hamiltonian = _hamiltonian_once(G)  # the two connection-set checks share sets
     records = []
@@ -228,15 +235,4 @@ def verify_group(G: GroupSpec, *, threads: int = 1) -> list[VerificationRecord]:
     if G.order <= _PAIR_CHECK_MAX_ORDER:
         records.append(_check_pair_rule(G, hamiltonian))
     records.append(_check_connectivity(G))
-    return records
-
-
-def verify_orders(lo: int, hi: int, *, threads: int = 1) -> list[VerificationRecord]:
-    """Run the full battery over every abelian group with lo <= |G| <= hi."""
-    if lo < 3:
-        raise ValueError("verification starts at order 3")
-    _check_scan_order(hi)
-    records = []
-    for G in abelian_groups_in_range(lo, hi):
-        records.extend(verify_group(G, threads=threads))
     return records

@@ -131,7 +131,8 @@ def test_construct_refuses_every_group_before_any_build(monkeypatch, capsys):
     (("scan", "--group", "5", "--group", "14"), "scan Z14: "),
     (("expect", "--group", "5", "--group", "2"), "expect Z2: "),
     (("smin", "--group", "4", "--group", "1"), "smin Z1: "),
-], ids=["construct", "scan", "expect", "smin"])
+    (("verify", "--orders", "1..5"), "verify Z1: need |G| >= 3"),
+], ids=["construct", "scan", "expect", "smin", "verify"])
 def test_a_refused_group_is_named_with_its_command(argv, where, capsys):
     code, out = run_cli(*argv)
     assert (code, out) == (EXIT_USAGE, "")
@@ -370,6 +371,16 @@ def test_csv_unavailable_for_info():
     assert code == EXIT_USAGE
 
 
+def test_csv_for_a_report_with_no_table_is_refused_before_any_work(monkeypatch, capsys):
+    import hamlabels.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "expected_distinct_diffs", lambda G: calls.append(str(G)))
+    code, out = run_cli("expect", "--group", "5", "--format", "csv")
+    assert (code, out, calls) == (EXIT_USAGE, "", [])
+    assert "csv output is not available for 'expect'" in capsys.readouterr().err
+
+
 # the flags each subcommand reads, besides --format and --cache
 READS = {
     "info": {"--group", "--orders"},
@@ -464,16 +475,27 @@ def test_order_far_above_the_ceiling_is_refused_in_a_short_message(capsys):
     assert "the largest order scanned is 13" in err and len(err.encode()) < 200
 
 
-def test_scan_refuses_a_wide_order_range_before_expanding_it(capsys, monkeypatch):
+# each command admits a range's groups as it expands to them: the first
+# refused group stops the expansion, so no later order's groups are made
+@pytest.mark.parametrize("argv, top, refused", [
+    (("scan", "--orders", "3..200000"), 14,
+     "scan Z14: order 14 would walk 13! = 6227020800 cycles; "),
+    (("verify", "--orders", "3..200000"), 14,
+     "verify Z14: order 14 would walk 13! = 6227020800 cycles; "),
+    (("smin", "--orders", "3..1000000"), 17, "smin Z17: order 17 is above 16: "),
+    (("expect", "--orders", "3..1000000"), 10001,
+     "expect Z10001: order 10001 is above the exact-expectation ceiling"),
+], ids=["scan", "verify", "smin", "expect"])
+def test_a_wide_order_range_expands_no_further_than_its_first_refused_order(
+        argv, top, refused, capsys, monkeypatch):
     import hamlabels.cli as cli
 
-    ranges = []
-    real = cli.abelian_groups_in_range
-    monkeypatch.setattr(cli, "abelian_groups_in_range",
-                        lambda lo, hi: ranges.append((lo, hi)) or real(lo, hi))
-    code, out = run_cli("scan", "--orders", "3..200000")
-    assert (code, out, ranges) == (EXIT_USAGE, "", [])
-    assert "the largest order scanned is 13" in capsys.readouterr().err
+    orders = []
+    real = cli.abelian_groups
+    monkeypatch.setattr(cli, "abelian_groups", lambda n: orders.append(n) or real(n))
+    code, out = run_cli(*argv)
+    assert (code, out, orders) == (EXIT_USAGE, "", list(range(3, top + 1)))
+    assert capsys.readouterr().err.startswith(f"error: {refused}")
 
 
 def test_scan_at_the_ceiling_needs_no_opt_in(monkeypatch):
@@ -493,6 +515,25 @@ def test_count_below_one_is_usage_error(argv, value, capsys):
     code, out = run_cli(*argv, value)
     assert (code, out) == (EXIT_USAGE, "")
     assert "positive integer" in capsys.readouterr().err
+
+
+# configs the parser never builds, refused by run before the cache lookup
+@pytest.mark.parametrize("cfg", [
+    RunConfig(command="bogus", groups=("4",)),
+    RunConfig(command="scan", groups=("4",), threads=0),
+    RunConfig(command="smin", groups=("4",), budget=0),
+    RunConfig(command="expect", groups=("4",), mc_trials=0),
+    RunConfig(command="info", orders=(0, 3)),
+    RunConfig(command="verify", orders=(5, 3)),
+    RunConfig(command="info", groups=("4",), fmt="xml"),
+], ids=["command", "threads", "budget", "mc_trials", "orders from 0", "orders reversed",
+        "format"])
+def test_run_refuses_a_config_the_parser_cannot_produce(cfg, tmp_path, capsys):
+    cfg.cache_path = str(tmp_path)
+    code, out = run_config(cfg)
+    assert (code, out, list(tmp_path.iterdir())) == (EXIT_USAGE, "", [])
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_byte_determinism_and_thread_independence():

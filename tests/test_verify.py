@@ -3,6 +3,8 @@
 import json
 from types import SimpleNamespace
 
+import pytest
+
 from hamlabels import abelian_groups_in_range, group, verify
 from hamlabels.cli import EXIT_FAIL, main
 
@@ -61,3 +63,14 @@ def test_max_diffs_drop_is_a_bound_exactly_on_a_non_cyclic_sylow_8():
         noncyclic_eight = len(two_part) == 8 and max(two_part) < 8
         [rec] = [r for r in verify._check_extremals(G, rep) if r.check == "max-diffs-drop"]
         assert rec.predicted.startswith("<=") == noncyclic_eight, G
+
+
+@pytest.mark.parametrize("order", [1, 2, 14])
+def test_verify_group_refuses_an_order_outside_the_battery_before_any_check(order, monkeypatch):
+    calls = []
+    real = verify.extremal_scan
+    monkeypatch.setattr(verify, "extremal_scan",
+                        lambda G, **kw: calls.append(str(G)) or real(G, **kw))
+    with pytest.raises(ValueError):
+        verify.verify_group(group(order))
+    assert calls == []
